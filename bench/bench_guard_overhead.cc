@@ -1,12 +1,12 @@
 // Guard-check overhead: guarded (generous limits armed) vs unguarded
-// (default options) execution of a join-heavy query whose streaming head
-// pulls ~20k tuples through the iterator layer.
+// (default options) execution of a join-heavy query whose head pulls ~20k
+// tuples through the iterator pipeline.
 //
 // The guard fast path is a single counter decrement per checkpoint, with a
 // full check (clock read, flag load, quota compares) every 256 steps, so
 // the expected shape is parity: guarded overhead under ~3% of the
-// unguarded time, in both exec modes. Both variants must also agree on
-// the query result (checked outside the timed region).
+// unguarded time. Both variants must also agree on the query result
+// (checked outside the timed region).
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -49,9 +49,8 @@ const char* kJoinQuery =
     "count(for $x in $D//item, $y in $D//item "
     "where $x/id = $y/id return 1)";
 
-EngineOptions MakeOptions(bool guarded, ExecMode mode) {
+EngineOptions MakeOptions(bool guarded) {
   EngineOptions options;
-  options.exec_mode = mode;
   if (guarded) {
     // Generous limits: every guard subsystem is armed (deadline clock,
     // memory budget, step quota, output cap) but none should trip.
@@ -63,10 +62,9 @@ EngineOptions MakeOptions(bool guarded, ExecMode mode) {
   return options;
 }
 
-void BM_JoinHead(benchmark::State& state, bool guarded, ExecMode mode) {
+void BM_JoinHead(benchmark::State& state, bool guarded) {
   Engine engine;
-  Result<PreparedQuery> q = engine.Prepare(kJoinQuery,
-                                           MakeOptions(guarded, mode));
+  Result<PreparedQuery> q = engine.Prepare(kJoinQuery, MakeOptions(guarded));
   if (!q.ok()) {
     state.SkipWithError(q.status().ToString().c_str());
     return;
@@ -91,54 +89,40 @@ void BM_JoinHead(benchmark::State& state, bool guarded, ExecMode mode) {
 // guarded run neither trips a limit nor skips the slow-path checks.
 bool VerifyGuardIsTransparent() {
   Engine engine;
-  for (ExecMode mode : {ExecMode::kStreaming, ExecMode::kMaterialize}) {
-    std::string results[2];
-    for (int g = 0; g < 2; g++) {
-      Result<PreparedQuery> q =
-          engine.Prepare(kJoinQuery, MakeOptions(g == 1, mode));
-      if (!q.ok()) return false;
-      DynamicContext ctx;
-      ctx.BindVariable(Symbol("D"), {Item(ParsedDoc())});
-      Result<std::string> r = q.value().ExecuteToString(&ctx);
-      if (!r.ok()) {
-        fprintf(stderr, "guard tripped unexpectedly: %s\n",
-                r.status().ToString().c_str());
-        return false;
-      }
-      results[g] = r.value();
-      if (g == 1 && q.value().last_exec_stats().guard_checks == 0) {
-        fprintf(stderr, "guarded run performed no slow-path checks\n");
-        return false;
-      }
-    }
-    if (results[0] != results[1]) {
-      fprintf(stderr, "GUARD MISMATCH:\n  unguarded: %s\n  guarded:   %s\n",
-              results[0].c_str(), results[1].c_str());
+  std::string results[2];
+  for (int g = 0; g < 2; g++) {
+    Result<PreparedQuery> q = engine.Prepare(kJoinQuery, MakeOptions(g == 1));
+    if (!q.ok()) return false;
+    DynamicContext ctx;
+    ctx.BindVariable(Symbol("D"), {Item(ParsedDoc())});
+    Result<std::string> r = q.value().ExecuteToString(&ctx);
+    if (!r.ok()) {
+      fprintf(stderr, "guard tripped unexpectedly: %s\n",
+              r.status().ToString().c_str());
       return false;
     }
+    results[g] = r.value();
+    if (g == 1 && q.value().last_exec_stats().guard_checks == 0) {
+      fprintf(stderr, "guarded run performed no slow-path checks\n");
+      return false;
+    }
+  }
+  if (results[0] != results[1]) {
+    fprintf(stderr, "GUARD MISMATCH:\n  unguarded: %s\n  guarded:   %s\n",
+            results[0].c_str(), results[1].c_str());
+    return false;
   }
   return true;
 }
 
 void RegisterAll() {
-  struct Mode {
-    const char* name;
-    ExecMode mode;
-  };
-  const Mode kModes[] = {{"Streaming", ExecMode::kStreaming},
-                         {"Materialize", ExecMode::kMaterialize}};
-  for (const Mode& m : kModes) {
-    for (bool guarded : {false, true}) {
-      ExecMode mode = m.mode;
-      benchmark::RegisterBenchmark(
-          (std::string("GuardOverhead/JoinHead/") + m.name + "/" +
-           (guarded ? "Guarded" : "Unguarded"))
-              .c_str(),
-          [guarded, mode](benchmark::State& st) {
-            BM_JoinHead(st, guarded, mode);
-          })
-          ->Unit(benchmark::kMicrosecond);
-    }
+  for (bool guarded : {false, true}) {
+    benchmark::RegisterBenchmark(
+        (std::string("GuardOverhead/JoinHead/") +
+         (guarded ? "Guarded" : "Unguarded"))
+            .c_str(),
+        [guarded](benchmark::State& st) { BM_JoinHead(st, guarded); })
+        ->Unit(benchmark::kMicrosecond);
   }
 }
 

@@ -13,8 +13,7 @@
 //   --no-optimize        disable the Figure 5 rewritings
 //   --interpret          use the baseline Core interpreter
 //   --join nl|hash|sort  physical join algorithm (default hash)
-//   --exec stream|mat    iterator vs materializing execution (default stream)
-//   --batch-size <n>     tuples per streaming batch (default 1024;
+//   --batch-size <n>     tuples per iterator batch (default 1024;
 //                        1 = tuple-at-a-time oracle)
 //   --parallelism <n>    partition eligible fn:collection scans across up
 //                        to n concurrent workers (default 1 = the serial,
@@ -168,13 +167,6 @@ int main(int argc, char** argv) {
       else if (j == "hash") options.join_impl = xqc::JoinImpl::kHash;
       else if (j == "sort") options.join_impl = xqc::JoinImpl::kSort;
       else return Fail("unknown join algorithm: " + j);
-    } else if (arg == "--exec") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--exec needs stream|mat");
-      std::string e = v;
-      if (e == "stream") options.exec_mode = xqc::ExecMode::kStreaming;
-      else if (e == "mat") options.exec_mode = xqc::ExecMode::kMaterialize;
-      else return Fail("unknown exec mode: " + e);
     } else if (arg == "--threads" || arg == "--repeat" ||
                arg == "--timeout-ms" || arg == "--max-mem-mb" ||
                arg == "--max-output-items" || arg == "--max-steps" ||

@@ -14,7 +14,6 @@ namespace {
 ExecOptions ToExecOptions(const EngineOptions& o) {
   ExecOptions exec;
   exec.join_impl = o.join_impl;
-  exec.streaming = o.exec_mode == ExecMode::kStreaming;
   exec.force_sort = o.force_sort;
   exec.use_doc_index = o.use_doc_index;
   exec.batch_size = o.batch_size < 1 ? 1 : o.batch_size;
@@ -98,20 +97,19 @@ struct ResultStream::Impl {
   QueryGuard* active;                    // the guard actually charged
   DynamicContext* context;               // for per-execution store stats
   PlanEvaluator eval;
-  bool streaming = false;
-  TupleIteratorPtr iter;                 // streaming: the top tuple stream
-  const Op* per_tuple = nullptr;         // streaming: MapToItem's item plan
+  TupleIteratorPtr iter;                 // on demand: the top tuple stream
+  const Op* per_tuple = nullptr;         // on demand: MapToItem's item plan
   Sequence buf;                          // current tuple's items / full result
   size_t pos = 0;
   bool done = false;
-  ExecStats buffered_stats;              // fallback (non-streaming) stats
-  ExecStats stats_cache;                 // streaming: merged snapshot
+  ExecStats buffered_stats;              // buffered fallback stats
+  ExecStats stats_cache;                 // on demand: merged snapshot
 };
 
 Result<bool> ResultStream::Next(Item* out) {
   Impl& im = *impl_;
   while (im.pos >= im.buf.size()) {
-    if (!im.streaming || im.done) return false;
+    if (im.iter == nullptr || im.done) return false;
     // The incremental cursor always pulls tuple-at-a-time, whatever
     // EngineOptions::batch_size says: its demand is one tuple, and
     // prefetching a batch here would evaluate input a caller that stops
@@ -131,7 +129,7 @@ Result<bool> ResultStream::Next(Item* out) {
     im.pos = 0;
   }
   // The buffered fallback already charged the whole result in Execute().
-  if (im.streaming) XQC_RETURN_IF_ERROR(im.active->AccountOutput(1));
+  if (im.iter != nullptr) XQC_RETURN_IF_ERROR(im.active->AccountOutput(1));
   *out = im.buf[im.pos++];
   return true;
 }
@@ -148,7 +146,7 @@ Result<Sequence> ResultStream::Drain() {
 
 const ExecStats& ResultStream::stats() const {
   Impl& im = *impl_;
-  if (!im.streaming) return im.buffered_stats;
+  if (im.iter == nullptr) return im.buffered_stats;
   im.stats_cache = im.eval.stats();
   im.stats_cache.guard_checks = im.active->checks();
   im.stats_cache.guard_steps = im.active->steps();
@@ -161,11 +159,14 @@ Result<ResultStream> PreparedQuery::ExecuteStream(DynamicContext* ctx) const {
   ResultStream rs;
   rs.impl_ = std::make_shared<ResultStream::Impl>(compiled_, ctx, options_);
   // Incremental pulling needs an algebraic MapToItem top: anything else
-  // (interpreter mode, materializing mode, a non-tuple top plan) computes
-  // the full result now and serves it from the buffer.
-  if (options_.use_algebra && options_.exec_mode == ExecMode::kStreaming &&
-      compiled_->plan->kind == OpKind::kMapToItem) {
-    rs.impl_->streaming = true;
+  // (interpreter mode, a non-tuple top plan) computes the full result now
+  // and serves it from the buffer.
+  if (options_.use_algebra && compiled_->plan->kind == OpKind::kMapToItem) {
+    // The cursor pulls serially; say so instead of silently dropping the
+    // requested parallelism.
+    if (options_.parallelism > 1) {
+      rs.impl_->eval.mutable_stats()->parallel_fallbacks = 1;
+    }
     XQC_RETURN_IF_ERROR(rs.impl_->eval.PrepareGlobals());
     XQC_ASSIGN_OR_RETURN(
         rs.impl_->iter,

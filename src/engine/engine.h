@@ -10,9 +10,9 @@
 //   optimize, join=kNestedLoop             "Optim + nested-loop joins"
 //   optimize, join=kHash (default)         "Optim + XQuery joins"
 //
-// Orthogonally, exec_mode picks the physical iteration model for the tuple
-// algebra: kStreaming (pull-based iterators with early termination, the
-// default) or kMaterialize (full table per operator). Results are identical.
+// Every algebraic configuration runs its tuple operators through one
+// pull-based iterator pipeline (src/runtime/iterator.h) with early
+// termination; batch_size=1 is its tuple-at-a-time oracle.
 //
 // Example:
 //   xqc::Engine engine;
@@ -36,16 +36,6 @@
 
 namespace xqc {
 
-/// Physical execution mode for the tuple algebra.
-enum class ExecMode {
-  /// Pull-based iterator execution (iterator.h): operators stream tuple
-  /// at a time and early-terminating consumers (fn:exists, [1] heads,
-  /// fn:subsequence, quantifiers) stop pulling the input.
-  kStreaming,
-  /// The original mode: every operator materializes its full table.
-  kMaterialize,
-};
-
 struct EngineOptions {
   /// false: evaluate the normalized Core AST directly (baseline).
   bool use_algebra = true;
@@ -53,9 +43,6 @@ struct EngineOptions {
   bool optimize = true;
   /// Physical join algorithm for Join / LOuterJoin.
   JoinImpl join_impl = JoinImpl::kHash;
-  /// Iterator vs materializing execution (results are identical; see
-  /// ExecOptions::streaming for the error-laziness caveat).
-  ExecMode exec_mode = ExecMode::kStreaming;
   /// Baseline / oracle mode: TreeJoin always sorts its output, disabling
   /// both the static DDO annotations and the runtime sort elisions.
   bool force_sort = false;
@@ -71,13 +58,13 @@ struct EngineOptions {
   /// (xqc_shell --no-snapshots): every cold load re-parses the source,
   /// which must produce byte-identical results.
   bool use_snapshots = true;
-  /// Tuples moved per batch through the streaming iterators
+  /// Tuples moved per batch through the iterator pipeline
   /// (ExecOptions::batch_size). 1 = the tuple-at-a-time oracle; larger
   /// values amortize virtual dispatch and guard checks over full-
-  /// consumption pipelines while producing byte-identical results,
-  /// identical ExecStats counters, and identical guard trip points.
-  /// Values < 1 are treated as 1. Ignored by ExecMode::kMaterialize and
-  /// the interpreter.
+  /// consumption pipelines and pipeline-breaker drains while producing
+  /// byte-identical results, identical ExecStats counters, and identical
+  /// guard trip points. Values < 1 are treated as 1. Ignored by the
+  /// interpreter.
   int batch_size = 1024;
   /// Maximum concurrent partitions for intra-query parallelism
   /// (xqc_shell --parallelism). 1 (default) = strictly serial, the
@@ -109,7 +96,7 @@ struct EngineOptions {
 /// An incrementally pulled query result (PreparedQuery::ExecuteStream).
 /// Holds the executing plan; the DynamicContext passed to ExecuteStream
 /// must outlive it. Pulling fewer items than the full result leaves the
-/// unconsumed remainder unevaluated in streaming mode.
+/// unconsumed remainder of an algebraic plan unevaluated.
 class ResultStream {
  public:
   /// Produces the next result item. Returns false at end of stream.
@@ -151,9 +138,12 @@ class PreparedQuery {
   /// Evaluates and serializes the result.
   Result<std::string> ExecuteToString(DynamicContext* ctx) const;
 
-  /// Opens a pull-based result cursor. With ExecMode::kStreaming and an
-  /// algebraic plan the result is computed on demand; otherwise the full
-  /// result is computed here and buffered behind the same interface.
+  /// Opens a pull-based result cursor. An algebraic plan whose top is a
+  /// MapToItem is computed on demand, one tuple per pull; otherwise the
+  /// full result is computed here (by Execute) and buffered behind the
+  /// same interface. The on-demand cursor always runs serially: with
+  /// EngineOptions::parallelism > 1 it records the fallback in
+  /// stats().parallel_fallbacks (= 1) and produces Execute's output.
   Result<ResultStream> ExecuteStream(DynamicContext* ctx) const;
 
   /// The (optimized, if enabled) algebraic plan in the paper's notation.

@@ -144,15 +144,15 @@ Result<bool> PlanEvaluator::EvalPredicate(const Op& pred, const Tuple& t,
   pc.tuple = &t;
   pc.items = nullptr;
   // The effective boolean value is decidable from a 2-item prefix (empty,
-  // first-item-node, or the >1-atomics error), so streaming mode bounds
-  // the predicate's evaluation.
+  // first-item-node, or the >1-atomics error), so the predicate's
+  // evaluation is bounded.
   XQC_ASSIGN_OR_RETURN(Sequence v, EvalItemsLimited(pred, pc, 2));
   return EffectiveBooleanValue(v);
 }
 
 Result<Sequence> PlanEvaluator::EvalItemsLimited(const Op& op, const EvalCtx& c,
                                                  size_t limit) {
-  if (!options_.streaming || limit == kEvalNoLimit) return EvalItems(op, c);
+  if (limit == kEvalNoLimit) return EvalItems(op, c);
   switch (op.kind) {
     case OpKind::kMapToItem:
       return EvalMapToItem(op, c, limit);
@@ -210,29 +210,60 @@ Result<Sequence> PlanEvaluator::EvalItemsLimited(const Op& op, const EvalCtx& c,
   }
 }
 
+namespace {
+
+/// Pulls `it` to exhaustion, handing each tuple to `sink` (which may move
+/// from it): NextBatch of `batch_size`, or Next() at batch_size 1 (the
+/// oracle).
+template <typename Sink>
+Status Drain(TupleIterator* it, int batch_size, Sink&& sink) {
+  if (batch_size <= 1) {
+    Tuple t;
+    while (true) {
+      XQC_ASSIGN_OR_RETURN(bool has, it->Next(&t));
+      if (!has) return Status::OK();
+      XQC_RETURN_IF_ERROR(sink(t));
+    }
+  }
+  TupleBatch b;
+  while (true) {
+    XQC_RETURN_IF_ERROR(it->NextBatch(&b, static_cast<size_t>(batch_size)));
+    if (b.empty()) return Status::OK();
+    for (size_t i = 0; i < b.size(); i++) XQC_RETURN_IF_ERROR(sink(b[i]));
+  }
+}
+
+}  // namespace
+
+Result<Table> PlanEvaluator::EvalTable(const Op& op, const EvalCtx& c) {
+  XQC_ASSIGN_OR_RETURN(TupleIteratorPtr it, OpenTable(op, c));
+  Table out;
+  XQC_RETURN_IF_ERROR(Drain(it.get(), options_.batch_size, [&](Tuple& t) {
+    out.push_back(std::move(t));
+    return Status::OK();
+  }));
+  return out;
+}
+
 Result<Sequence> PlanEvaluator::EvalMapToItem(const Op& op, const EvalCtx& c,
                                               size_t limit) {
   XQC_ASSIGN_OR_RETURN(TupleIteratorPtr input, OpenTable(*op.inputs[0], c));
-  // Full consumption drives the pipeline in batches; a limited pull stays
-  // tuple-at-a-time below (its demand is a handful of tuples, and the
-  // oracle's early-exit accounting must be preserved exactly).
-  if (limit == kEvalNoLimit && options_.batch_size > 1) {
-    Sequence out;
-    TupleBatch b;
-    while (true) {
-      XQC_RETURN_IF_ERROR(
-          input->NextBatch(&b, static_cast<size_t>(options_.batch_size)));
-      if (b.empty()) return out;
-      for (size_t i = 0; i < b.size(); i++) {
-        EvalCtx dc = c;
-        dc.tuple = &b[i];
-        dc.items = nullptr;
-        XQC_ASSIGN_OR_RETURN(Sequence v, EvalItems(*op.deps[0], dc));
-        Extend(&out, std::move(v));
-      }
-    }
-  }
   Sequence out;
+  if (limit == kEvalNoLimit) {
+    XQC_RETURN_IF_ERROR(Drain(input.get(), options_.batch_size,
+                              [&](Tuple& t) -> Status {
+      EvalCtx dc = c;
+      dc.tuple = &t;
+      dc.items = nullptr;
+      XQC_ASSIGN_OR_RETURN(Sequence v, EvalItems(*op.deps[0], dc));
+      Extend(&out, std::move(v));
+      return Status::OK();
+    }));
+    return out;
+  }
+  // A limited pull stays tuple-at-a-time: its demand is a handful of
+  // tuples, and the oracle's early-exit accounting must be preserved
+  // exactly.
   Tuple t;
   while (out.size() < limit) {
     XQC_ASSIGN_OR_RETURN(bool has, input->Next(&t));
@@ -414,49 +445,37 @@ Result<Sequence> PlanEvaluator::EvalItems(const Op& op, const EvalCtx& c) {
       return Sequence{};
     }
     case OpKind::kFieldAccess: {
+      if (op.inputs[0]->kind == OpKind::kIn) {
+        // IN#q: read the context tuple's field in place, without copying
+        // the whole tuple first.
+        const Sequence* v = c.tuple != nullptr ? c.tuple->Get(op.name)
+                                               : nullptr;
+        return v != nullptr ? *v : Sequence{};
+      }
       XQC_ASSIGN_OR_RETURN(Tuple t, EvalTuple(*op.inputs[0], c));
       const Sequence* v = t.Get(op.name);
       if (v == nullptr) return Sequence{};
       return *v;
     }
-    case OpKind::kMapToItem: {
-      if (options_.streaming) return EvalMapToItem(op, c, kEvalNoLimit);
-      XQC_ASSIGN_OR_RETURN(Table table, EvalTable(*op.inputs[0], c));
-      Sequence out;
-      for (const Tuple& t : table) {
-        EvalCtx dc = c;
-        dc.tuple = &t;
-        dc.items = nullptr;
-        XQC_ASSIGN_OR_RETURN(Sequence v, EvalItems(*op.deps[0], dc));
-        Extend(&out, std::move(v));
-      }
-      return out;
-    }
+    case OpKind::kMapToItem:
+      return EvalMapToItem(op, c, kEvalNoLimit);
     case OpKind::kMapSome:
     case OpKind::kMapEvery: {
+      // Quantifier short-circuit: stop pulling the binding stream at the
+      // first deciding tuple.
       bool want = op.kind == OpKind::kMapSome;
-      if (options_.streaming) {
-        // Quantifier short-circuit: stop pulling the binding stream at the
-        // first deciding tuple.
-        XQC_ASSIGN_OR_RETURN(TupleIteratorPtr input,
-                             OpenTable(*op.inputs[0], c));
-        Tuple t;
-        while (true) {
-          XQC_ASSIGN_OR_RETURN(bool has, input->Next(&t));
-          if (!has) break;
-          XQC_ASSIGN_OR_RETURN(bool b, EvalPredicate(*op.deps[0], t, c));
-          if (b == want) {
-            input->Close();
-            stats_.streaming_early_stops++;
-            return Sequence{AtomicValue::Boolean(want)};
-          }
-        }
-        return Sequence{AtomicValue::Boolean(!want)};
-      }
-      XQC_ASSIGN_OR_RETURN(Table table, EvalTable(*op.inputs[0], c));
-      for (const Tuple& t : table) {
+      XQC_ASSIGN_OR_RETURN(TupleIteratorPtr input,
+                           OpenTable(*op.inputs[0], c));
+      Tuple t;
+      while (true) {
+        XQC_ASSIGN_OR_RETURN(bool has, input->Next(&t));
+        if (!has) break;
         XQC_ASSIGN_OR_RETURN(bool b, EvalPredicate(*op.deps[0], t, c));
-        if (b == want) return Sequence{AtomicValue::Boolean(want)};
+        if (b == want) {
+          input->Close();
+          stats_.streaming_early_stops++;
+          return Sequence{AtomicValue::Boolean(want)};
+        }
       }
       return Sequence{AtomicValue::Boolean(!want)};
     }
@@ -489,157 +508,6 @@ Result<Tuple> PlanEvaluator::EvalTuple(const Op& op, const EvalCtx& c) {
     default:
       return Status::Internal(std::string(OpKindName(op.kind)) +
                               " evaluated in tuple context");
-  }
-}
-
-Result<Table> PlanEvaluator::EvalTable(const Op& op, const EvalCtx& c) {
-  XQC_RETURN_IF_ERROR(guard_->Check());
-  switch (op.kind) {
-    case OpKind::kIn: {
-      Table t;
-      t.push_back(c.tuple != nullptr ? *c.tuple : Tuple());
-      return t;
-    }
-    case OpKind::kEmptyTuples: {
-      Table t;
-      t.emplace_back();
-      return t;
-    }
-    case OpKind::kTupleConstruct:
-    case OpKind::kTupleConcat: {
-      XQC_ASSIGN_OR_RETURN(Tuple t, EvalTuple(op, c));
-      Table out;
-      out.push_back(std::move(t));
-      return out;
-    }
-    case OpKind::kSelect: {
-      XQC_ASSIGN_OR_RETURN(Table in, EvalTable(*op.inputs[0], c));
-      Table out;
-      for (Tuple& t : in) {
-        XQC_ASSIGN_OR_RETURN(bool b, EvalPredicate(*op.deps[0], t, c));
-        if (b) out.push_back(std::move(t));
-      }
-      return out;
-    }
-    case OpKind::kProduct: {
-      XQC_ASSIGN_OR_RETURN(Table l, EvalTable(*op.inputs[0], c));
-      XQC_ASSIGN_OR_RETURN(Table r, EvalTable(*op.inputs[1], c));
-      Table out;
-      // Clamp the reserve: l*r is adversarially large for cross-product
-      // blowups, and the guard must get a chance to trip before one giant
-      // up-front allocation can OOM the process.
-      out.reserve(std::min(l.size() * r.size(), size_t{1} << 20));
-      for (const Tuple& a : l) {
-        XQC_RETURN_IF_ERROR(
-            guard_->AccountTuples(static_cast<int64_t>(r.size())));
-        for (const Tuple& b : r) {
-          XQC_RETURN_IF_ERROR(guard_->Check());
-          out.push_back(Tuple::Concat(a, b));
-        }
-      }
-      return out;
-    }
-    case OpKind::kJoin:
-      return EvalJoin(op, c, /*outer=*/false);
-    case OpKind::kLOuterJoin:
-      return EvalJoin(op, c, /*outer=*/true);
-    case OpKind::kMap: {
-      XQC_ASSIGN_OR_RETURN(Table in, EvalTable(*op.inputs[0], c));
-      Table out;
-      out.reserve(in.size());
-      for (const Tuple& t : in) {
-        EvalCtx dc = c;
-        dc.tuple = &t;
-        dc.items = nullptr;
-        XQC_ASSIGN_OR_RETURN(Tuple nt, EvalTuple(*op.deps[0], dc));
-        out.push_back(std::move(nt));
-      }
-      return out;
-    }
-    case OpKind::kOMap: {
-      XQC_ASSIGN_OR_RETURN(Table in, EvalTable(*op.inputs[0], c));
-      Table out;
-      if (in.empty()) {
-        Tuple t;
-        t.Set(op.name, {AtomicValue::Boolean(true)});
-        out.push_back(std::move(t));
-        return out;
-      }
-      out.reserve(in.size());
-      for (const Tuple& t : in) {
-        Tuple flag;
-        flag.Set(op.name, {AtomicValue::Boolean(false)});
-        out.push_back(Tuple::Concat(flag, t));
-      }
-      return out;
-    }
-    case OpKind::kMapConcat:
-    case OpKind::kOMapConcat: {
-      XQC_ASSIGN_OR_RETURN(Table in, EvalTable(*op.inputs[0], c));
-      bool outer = op.kind == OpKind::kOMapConcat;
-      Table out;
-      for (const Tuple& t : in) {
-        EvalCtx dc = c;
-        dc.tuple = &t;
-        dc.items = nullptr;
-        XQC_ASSIGN_OR_RETURN(Table sub, EvalTable(*op.deps[0], dc));
-        XQC_RETURN_IF_ERROR(
-            guard_->AccountTuples(static_cast<int64_t>(sub.size())));
-        if (outer && sub.empty()) {
-          Tuple flag;
-          flag.Set(op.name, {AtomicValue::Boolean(true)});
-          out.push_back(Tuple::Concat(flag, t));
-          continue;
-        }
-        for (const Tuple& s : sub) {
-          Tuple joined = Tuple::Concat(t, s);
-          if (outer) {
-            Tuple flag;
-            flag.Set(op.name, {AtomicValue::Boolean(false)});
-            joined = Tuple::Concat(flag, joined);
-          }
-          out.push_back(std::move(joined));
-        }
-      }
-      return out;
-    }
-    case OpKind::kMapIndex:
-    case OpKind::kMapIndexStep: {
-      XQC_ASSIGN_OR_RETURN(Table in, EvalTable(*op.inputs[0], c));
-      Table out;
-      out.reserve(in.size());
-      for (size_t i = 0; i < in.size(); i++) {
-        Tuple idx;
-        idx.Set(op.name,
-                {AtomicValue::Integer(static_cast<int64_t>(i) + 1)});
-        out.push_back(Tuple::Concat(in[i], idx));
-      }
-      return out;
-    }
-    case OpKind::kOrderBy:
-      return EvalOrderBy(op, c);
-    case OpKind::kGroupBy:
-      return EvalGroupBy(op, c);
-    case OpKind::kMapFromItem: {
-      XQC_ASSIGN_OR_RETURN(Sequence items, EvalItems(*op.inputs[0], c));
-      XQC_RETURN_IF_ERROR(
-          guard_->AccountTuples(static_cast<int64_t>(items.size())));
-      Table out;
-      out.reserve(items.size());
-      for (const Item& item : items) {
-        Sequence one{item};
-        EvalCtx dc = c;
-        dc.items = &one;
-        dc.tuple = nullptr;
-        XQC_ASSIGN_OR_RETURN(Tuple t, EvalTuple(*op.deps[0], dc));
-        out.push_back(std::move(t));
-      }
-      stats_.source_tuples += static_cast<int64_t>(out.size());
-      return out;
-    }
-    default:
-      return Status::Internal(std::string(OpKindName(op.kind)) +
-                              " evaluated in table context");
   }
 }
 
@@ -860,27 +728,6 @@ Status PlanEvaluator::ProbeJoinTuple(const Op& op, const JoinStrategy& s,
                          op.name, residual_ptr, out);
 }
 
-Result<Table> PlanEvaluator::EvalJoin(const Op& op, const EvalCtx& c,
-                                      bool outer) {
-  XQC_ASSIGN_OR_RETURN(Table left, EvalTable(*op.inputs[0], c));
-  bool cacheable = false;
-  XQC_ASSIGN_OR_RETURN(std::shared_ptr<const Table> right,
-                       MaterializeJoinRight(op, c, &cacheable));
-  XQC_ASSIGN_OR_RETURN(
-      JoinStrategy strategy,
-      PlanJoinStrategy(op, c, left.empty() ? Tuple() : left[0], right,
-                       cacheable));
-  Table out;
-  for (const Tuple& l : left) {
-    size_t before = out.size();
-    XQC_RETURN_IF_ERROR(
-        ProbeJoinTuple(op, strategy, c, l, *right, outer, &out));
-    XQC_RETURN_IF_ERROR(
-        guard_->AccountTuples(static_cast<int64_t>(out.size() - before)));
-  }
-  return out;
-}
-
 Result<Table> PlanEvaluator::EvalGroupBy(const Op& op, const EvalCtx& c) {
   stats_.group_bys++;
   XQC_ASSIGN_OR_RETURN(Table in, EvalTable(*op.inputs[0], c));
@@ -1020,12 +867,11 @@ Result<Sequence> PlanEvaluator::EvalCall(const Op& op, const EvalCtx& c) {
   auto it = query_->functions.find(op.name);
   std::vector<Sequence> args(op.inputs.size());
   std::vector<bool> have(op.inputs.size(), false);
-  // Early-terminating built-ins: in streaming mode their first argument
-  // only needs a bounded prefix (argument evaluation order is
-  // implementation-defined, so fn:subsequence's bounds evaluate first).
+  // Early-terminating built-ins: their first argument only needs a
+  // bounded prefix (argument evaluation order is implementation-defined,
+  // so fn:subsequence's bounds evaluate first).
   size_t first_limit = kEvalNoLimit;
-  if (options_.streaming && it == query_->functions.end() &&
-      !op.inputs.empty()) {
+  if (it == query_->functions.end() && !op.inputs.empty()) {
     const std::string& n = op.name.str();
     if (n == "fn:exists" || n == "fn:empty") {
       first_limit = 1;

@@ -1,9 +1,11 @@
 // The algebra evaluator: interprets Table 1 plans over the physical data
-// model, with pluggable join algorithms (Section 6) and two execution
-// modes: the original materializing mode (every operator computes its
-// full table) and a pull-based iterator mode (iterator.h) that streams
-// table-side operators and terminates early under fn:exists / fn:empty /
-// positional heads / fn:subsequence / quantifiers.
+// model, with pluggable join algorithms (Section 6). Item-side operators
+// are evaluated recursively; every table-side operator runs through one
+// pull-based iterator pipeline (iterator.h), which streams tuples in
+// batches and terminates early under fn:exists / fn:empty / positional
+// heads / fn:subsequence / quantifiers. Pipeline breakers (GroupBy,
+// OrderBy, a join's build side, a Product's left side) drain their child
+// iterator through EvalTable.
 #ifndef XQC_RUNTIME_EVAL_H_
 #define XQC_RUNTIME_EVAL_H_
 
@@ -29,24 +31,19 @@ enum class JoinImpl {
 
 struct ExecOptions {
   JoinImpl join_impl = JoinImpl::kHash;
-  /// Pull-based iterator execution with early termination. Results are
-  /// identical to the materializing mode except that early termination
-  /// may skip errors in input suffixes a limited consumer never needs
-  /// (permitted by XQuery's evaluation-order rules).
-  bool streaming = false;
   /// Always discharge TreeJoin's distinct-doc-order postcondition with the
   /// full sort, ignoring static/dynamic elision (baseline / oracle mode).
   bool force_sort = false;
   /// Consult (and lazily build) per-document structural indexes for
   /// descendant / following / preceding steps.
   bool use_doc_index = true;
-  /// Tuples moved per NextBatch() call in streaming mode. 1 = the
-  /// tuple-at-a-time oracle (every operator pulls through Next());
-  /// values > 1 drive full-consumption pipelines through TupleBatch.
-  /// Limited consumers (fn:exists, EBV prefixes, fn:subsequence,
-  /// quantifiers) always run tuple-at-a-time — their demand is inherently
-  /// one tuple — so early-exit behavior and stats match the oracle
-  /// exactly. Ignored in materializing mode.
+  /// Tuples moved per NextBatch() call. 1 = the tuple-at-a-time oracle
+  /// (every operator pulls through Next()); values > 1 drive
+  /// full-consumption pipelines and pipeline-breaker drains through
+  /// TupleBatch. Limited consumers (fn:exists, EBV prefixes,
+  /// fn:subsequence, quantifiers) always run tuple-at-a-time — their
+  /// demand is inherently one tuple — so early-exit behavior and stats
+  /// match the oracle exactly.
   int batch_size = 1024;
 };
 
@@ -91,8 +88,7 @@ class MaterializedRangeInner;  // joins.h: ordered range index
 /// The physical plan chosen for one Join / LOuterJoin execution: which
 /// conjunct (if any) drives an index, the prebuilt inner index, and the
 /// residual conjuncts. Built once per join execution (PlanJoinStrategy)
-/// and then probed per left tuple (ProbeJoinTuple) — the same machinery
-/// backs the materializing and the streaming join.
+/// and then probed per left tuple (ProbeJoinTuple) by JoinIter.
 struct JoinStrategy {
   enum class Kind {
     kNestedLoop,  // full predicate per concatenated tuple
@@ -135,25 +131,29 @@ class PlanEvaluator {
 
   /// Typed evaluation entry points (IN resolves per expected type).
   Result<Sequence> EvalItems(const Op& op, const EvalCtx& c);
-  Result<Table> EvalTable(const Op& op, const EvalCtx& c);
   Result<Tuple> EvalTuple(const Op& op, const EvalCtx& c);
 
-  /// Like EvalItems, but in streaming mode the caller promises it only
-  /// inspects a prefix: evaluation may stop once `limit` items exist
-  /// (the result can still be longer). Falls back to EvalItems when not
-  /// streaming or limit is kEvalNoLimit.
+  /// Evaluates a table-side operator to its full table by draining
+  /// OpenTable(op): in batches of ExecOptions::batch_size, or through
+  /// Next() at batch_size 1. This is how pipeline breakers consume their
+  /// input.
+  Result<Table> EvalTable(const Op& op, const EvalCtx& c);
+
+  /// Like EvalItems, but the caller promises it only inspects a prefix:
+  /// evaluation may stop once `limit` items exist (the result can still
+  /// be longer). Plain EvalItems when limit is kEvalNoLimit.
   Result<Sequence> EvalItemsLimited(const Op& op, const EvalCtx& c,
                                     size_t limit);
 
-  /// Opens a pull iterator over a table-side operator (iterator.cc).
-  /// The EvalCtx's pointees must outlive the iterator. GroupBy/OrderBy
-  /// and non-table operators materialize behind the iterator.
+  /// Opens a pull iterator over a table-side operator (iterator.cc): the
+  /// only physical plan for tuple operators. The EvalCtx's pointees must
+  /// outlive the iterator. GroupBy/OrderBy compute their table at Open.
   Result<TupleIteratorPtr> OpenTable(const Op& op, const EvalCtx& c);
 
   /// Effective boolean value of a dependent predicate on tuple `t`.
   Result<bool> EvalPredicate(const Op& pred, const Tuple& t, const EvalCtx& c);
 
-  /// Join machinery shared by EvalJoin and the streaming JoinIter.
+  /// Join machinery used by JoinIter (iterator.cc).
   /// MaterializeJoinRight evaluates (or fetches from cache) the inner
   /// side; PlanJoinStrategy picks the physical algorithm using the field
   /// layout of a representative left tuple; ProbeJoinTuple appends all
@@ -189,13 +189,12 @@ class PlanEvaluator {
   QueryGuard* guard() const { return guard_; }
 
  private:
-  Result<Table> EvalJoin(const Op& op, const EvalCtx& c, bool outer);
   Result<Table> EvalGroupBy(const Op& op, const EvalCtx& c);
   Result<Table> EvalOrderBy(const Op& op, const EvalCtx& c);
   Result<Sequence> EvalCall(const Op& op, const EvalCtx& c);
   Result<Sequence> EvalConstructor(const Op& op, const EvalCtx& c);
-  /// Streaming MapToItem: pulls input tuples on demand, stopping once
-  /// `limit` items have been produced.
+  /// MapToItem: pulls input tuples on demand, stopping once `limit` items
+  /// have been produced.
   Result<Sequence> EvalMapToItem(const Op& op, const EvalCtx& c,
                                  size_t limit);
 

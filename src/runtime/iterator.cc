@@ -1,12 +1,15 @@
 // Iterator (open/next/close) implementations for the tuple algebra and
-// PlanEvaluator::OpenTable, the physical-plan factory for streaming mode.
+// PlanEvaluator::OpenTable, the physical-plan factory for every table-side
+// operator.
 //
 // Streaming operators: Select (with a positional early-stop bound),
-// Product (build right, stream left), Map, OMap, MapConcat/OMapConcat,
+// Product (drain left, stream right), Map, OMap, MapConcat/OMapConcat,
 // MapIndex/MapIndexStep, MapFromItem, and Join/LOuterJoin (Figure 6
-// build side materialized once, probe side streamed). GroupBy and
-// OrderBy need their whole input before emitting anything, so they —
-// like all non-table operators — materialize behind a TableIter.
+// build side drained once, probe side streamed). GroupBy and OrderBy need
+// their whole input before emitting anything: they drain their child
+// (PlanEvaluator::EvalTable) and serve the result from a TableIter, as do
+// the single-tuple operators (IN, the empty-tuple source, tuple
+// construction).
 #include "src/runtime/iterator.h"
 
 #include <string_view>
@@ -37,7 +40,7 @@ Status TupleIterator::NextBatch(TupleBatch* out, size_t max) {
 
 namespace {
 
-/// Materialized fallback: yields the tuples of a precomputed table.
+/// Yields the tuples of a precomputed table.
 class TableIter : public TupleIterator {
  public:
   explicit TableIter(Table table) : table_(std::move(table)) {}
@@ -203,8 +206,8 @@ class SelectIter : public TupleIterator {
   TupleBatch in_;
 };
 
-/// Product: materializes the right side once, streams the left.
-// The left side is materialized (it is almost always the singleton IN or a
+/// Product: drains the left side once, streams the right.
+// The left side is drained (it is almost always the singleton IN or a
 // small outer binding) so the big right side — the generator in compiled
 // quantifier/FLWOR shapes like Product(IN, MapFromItem{...}) — can stream.
 // Output stays left-major: the right stream is replayed from a buffer for
@@ -378,6 +381,11 @@ class OMapIter : public TupleIterator {
 /// MapConcat{f} / OMapConcat[q]{f}: per outer tuple, streams the
 /// dependent table f(t) and concatenates. The outer variant prepends the
 /// [q:bool] null flag and emits [q:true]++t when f(t) is empty.
+///
+/// A null `child` means the input is IN — the shape of every path step
+/// and for clause in unoptimized plans. Its one tuple is the context
+/// tuple (the empty tuple at top level), which outlives the iterator, so
+/// it is used in place instead of being copied through a child iterator.
 class MapConcatIter : public TupleIterator {
  public:
   MapConcatIter(PlanEvaluator* ev, const Op* op, const EvalCtx& c,
@@ -392,7 +400,7 @@ class MapConcatIter : public TupleIterator {
         XQC_ASSIGN_OR_RETURN(bool has, inner_->Next(&s));
         if (has) {
           inner_matched_ = true;
-          Tuple joined = Tuple::Concat(current_, s);
+          Tuple joined = Tuple::Concat(*cur_, s);
           if (outer_) {
             Tuple flag;
             flag.Set(op_->name, {AtomicValue::Boolean(false)});
@@ -406,19 +414,13 @@ class MapConcatIter : public TupleIterator {
         if (unmatched) {
           Tuple flag;
           flag.Set(op_->name, {AtomicValue::Boolean(true)});
-          *out = Tuple::Concat(flag, current_);
+          *out = Tuple::Concat(flag, *cur_);
           return true;
         }
       }
-      XQC_ASSIGN_OR_RETURN(bool has, child_->Next(&current_));
+      XQC_ASSIGN_OR_RETURN(bool has, NextOuter(0));
       if (!has) return false;
-      // The dependent iterator sees current_ (stable member storage) as
-      // its IN tuple for its whole lifetime.
-      EvalCtx dc = c_;
-      dc.tuple = &current_;
-      dc.items = nullptr;
-      XQC_ASSIGN_OR_RETURN(inner_, ev_->OpenTable(*op_->deps[0], dc));
-      inner_matched_ = false;
+      XQC_RETURN_IF_ERROR(OpenInner());
     }
   }
   // Batched dependent concat. The inner (dependent) stream is drained in
@@ -438,7 +440,7 @@ class MapConcatIter : public TupleIterator {
               ev_->guard()->CheckSteps(static_cast<int64_t>(in_.size())));
           inner_matched_ = true;
           for (size_t i = 0; i < in_.size(); i++) {
-            Tuple joined = Tuple::Concat(current_, in_[i]);
+            Tuple joined = Tuple::Concat(*cur_, in_[i]);
             if (outer_) {
               Tuple flag;
               flag.Set(op_->name, {AtomicValue::Boolean(false)});
@@ -454,41 +456,65 @@ class MapConcatIter : public TupleIterator {
           XQC_RETURN_IF_ERROR(ev_->guard()->CheckSteps(1));
           Tuple flag;
           flag.Set(op_->name, {AtomicValue::Boolean(true)});
-          out->push(Tuple::Concat(flag, current_));
+          out->push(Tuple::Concat(flag, *cur_));
           continue;
         }
       }
-      if (opos_ >= ob_.size()) {
-        XQC_RETURN_IF_ERROR(child_->NextBatch(&ob_, max - out->size()));
-        opos_ = 0;
-        if (ob_.empty()) {
-          XQC_RETURN_IF_ERROR(ev_->guard()->CheckSteps(1));
-          eos_ = true;
-          break;
-        }
-      }
+      XQC_ASSIGN_OR_RETURN(bool has, NextOuter(max - out->size()));
       XQC_RETURN_IF_ERROR(ev_->guard()->CheckSteps(1));
-      current_ = std::move(ob_[opos_++]);
-      EvalCtx dc = c_;
-      dc.tuple = &current_;
-      dc.items = nullptr;
-      XQC_ASSIGN_OR_RETURN(inner_, ev_->OpenTable(*op_->deps[0], dc));
-      inner_matched_ = false;
+      if (!has) {
+        eos_ = true;
+        break;
+      }
+      XQC_RETURN_IF_ERROR(OpenInner());
     }
     return Status::OK();
   }
   void Close() override {
     inner_.reset();
-    child_->Close();
+    if (child_ != nullptr) child_->Close();
   }
 
  private:
+  /// Advances cur_ to the next outer tuple; false at end of input. A
+  /// `demand` of 0 pulls tuple-at-a-time, otherwise through a prefetch
+  /// batch of at most `demand` tuples.
+  Result<bool> NextOuter(size_t demand) {
+    if (child_ == nullptr) {
+      if (cur_ != nullptr) return false;
+      static const Tuple kEmpty;
+      cur_ = c_.tuple != nullptr ? c_.tuple : &kEmpty;
+      return true;
+    }
+    cur_ = &current_;
+    if (demand == 0) return child_->Next(&current_);
+    if (opos_ >= ob_.size()) {
+      XQC_RETURN_IF_ERROR(child_->NextBatch(&ob_, demand));
+      opos_ = 0;
+      if (ob_.empty()) return false;
+    }
+    current_ = std::move(ob_[opos_++]);
+    return true;
+  }
+
+  /// Opens the dependent table for cur_, which stays valid (stable
+  /// member storage or the context tuple) for the inner's lifetime.
+  Status OpenInner() {
+    EvalCtx dc = c_;
+    dc.tuple = cur_;
+    dc.items = nullptr;
+    XQC_ASSIGN_OR_RETURN(inner_, ev_->OpenTable(*op_->deps[0], dc));
+    inner_matched_ = false;
+    return Status::OK();
+  }
+
   PlanEvaluator* ev_;
   const Op* op_;
   EvalCtx c_;
-  TupleIteratorPtr child_;
+  TupleIteratorPtr child_;  // nullptr: the input is IN (see above)
   bool outer_;
   Tuple current_;
+  const Tuple* cur_ = nullptr;  // the current outer tuple
   TupleIteratorPtr inner_;
   bool inner_matched_ = false;
   bool eos_ = false;
@@ -564,9 +590,9 @@ class MapFromItemIter : public TupleIterator {
     while (true) {
       XQC_RETURN_IF_ERROR(ev_->guard()->Check());
       if (pos_ < buf_.size()) {
-        Sequence one{buf_[pos_++]};
+        one_.assign(1, buf_[pos_++]);
         EvalCtx dc = c_;
-        dc.items = &one;
+        dc.items = &one_;
         dc.tuple = nullptr;
         XQC_ASSIGN_OR_RETURN(*out, ev_->EvalTuple(*op_->deps[0], dc));
         XQC_RETURN_IF_ERROR(ev_->guard()->AccountTuples(1));
@@ -601,9 +627,9 @@ class MapFromItemIter : public TupleIterator {
         XQC_RETURN_IF_ERROR(
             ev_->guard()->CheckSteps(static_cast<int64_t>(k)));
         for (size_t i = 0; i < k; i++) {
-          Sequence one{buf_[pos_++]};
+          one_.assign(1, buf_[pos_++]);
           EvalCtx dc = c_;
-          dc.items = &one;
+          dc.items = &one_;
           dc.tuple = nullptr;
           XQC_ASSIGN_OR_RETURN(Tuple r, ev_->EvalTuple(*op_->deps[0], dc));
           XQC_RETURN_IF_ERROR(ev_->guard()->AccountTuples(1));
@@ -651,17 +677,17 @@ class MapFromItemIter : public TupleIterator {
   const Op* item_dep_ = nullptr;   // its per-tuple item plan
   Sequence buf_;
   size_t pos_ = 0;
+  Sequence one_;    // the current item as IN (capacity reused)
   bool eos_ = false;
   TupleBatch sb_;   // prefetched source tuples
   size_t spos_ = 0;
   Tuple cur_;       // stable storage for the current source tuple
 };
 
-/// Join / LOuterJoin: materializes and indexes the right (build) side at
-/// Open — reusing the evaluator's table/index caches — then probes with
-/// left tuples as they stream in. The first left tuple is peeked so the
-/// join strategy can inspect its field layout, exactly like the
-/// materializing EvalJoin does with left[0].
+/// Join / LOuterJoin: drains and indexes the right (build) side at Open —
+/// reusing the evaluator's table/index caches — then probes with left
+/// tuples as they stream in. The first left tuple is peeked so the join
+/// strategy can inspect its field layout.
 class JoinIter : public TupleIterator {
  public:
   JoinIter(PlanEvaluator* ev, const Op* op, const EvalCtx& c,
@@ -828,8 +854,10 @@ Result<TupleIteratorPtr> PlanEvaluator::OpenTable(const Op& op,
     }
     case OpKind::kMapConcat:
     case OpKind::kOMapConcat: {
-      XQC_ASSIGN_OR_RETURN(TupleIteratorPtr child,
-                           OpenTable(*op.inputs[0], c));
+      TupleIteratorPtr child;
+      if (op.inputs[0]->kind != OpKind::kIn) {
+        XQC_ASSIGN_OR_RETURN(child, OpenTable(*op.inputs[0], c));
+      }
       it = std::make_unique<MapConcatIter>(this, &op, c, std::move(child),
                                            op.kind == OpKind::kOMapConcat);
       break;
@@ -844,13 +872,33 @@ Result<TupleIteratorPtr> PlanEvaluator::OpenTable(const Op& op,
     case OpKind::kMapFromItem:
       it = std::make_unique<MapFromItemIter>(this, &op, c);
       break;
-    default: {
-      // GroupBy / OrderBy (pipeline breakers) and every non-streaming
-      // operator: materialize once, then iterate.
-      XQC_ASSIGN_OR_RETURN(Table t, EvalTable(op, c));
+    case OpKind::kGroupBy:
+    case OpKind::kOrderBy: {
+      // Pipeline breakers: compute the whole table, then iterate.
+      XQC_ASSIGN_OR_RETURN(Table t, op.kind == OpKind::kGroupBy
+                                        ? EvalGroupBy(op, c)
+                                        : EvalOrderBy(op, c));
       it = std::make_unique<TableIter>(std::move(t));
       break;
     }
+    case OpKind::kIn:
+    case OpKind::kEmptyTuples:
+    case OpKind::kTupleConstruct:
+    case OpKind::kTupleConcat: {
+      // Single-tuple tables: IN (the empty tuple at top level), the
+      // empty-tuple source, and tuple construction.
+      Tuple t;
+      if (op.kind != OpKind::kEmptyTuples) {
+        XQC_ASSIGN_OR_RETURN(t, EvalTuple(op, c));
+      }
+      Table table;
+      table.push_back(std::move(t));
+      it = std::make_unique<TableIter>(std::move(table));
+      break;
+    }
+    default:
+      return Status::Internal(std::string(OpKindName(op.kind)) +
+                              " evaluated in table context");
   }
   XQC_RETURN_IF_ERROR(it->Open());
   return it;

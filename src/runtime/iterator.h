@@ -1,13 +1,13 @@
-// Pull-based (open/next/close) execution of the tuple algebra.
+// Pull-based (open/next/close) execution of the tuple algebra: the one
+// physical plan for every table-side operator.
 //
-// The materializing evaluator (eval.h) computes every operator's full
-// table before its consumer runs; a TupleIterator instead yields one
-// tuple per Next() call, so a consumer that needs only a prefix of the
-// result — fn:exists, fn:empty, a positional [1] head, fn:subsequence,
-// a quantified expression — stops pulling and the untouched suffix of
-// the input is never evaluated. Iterators are produced by
-// PlanEvaluator::OpenTable (iterator.cc); GroupBy and OrderBy are
-// pipeline breakers that materialize behind a TableIter.
+// A TupleIterator yields one tuple per Next() call, so a consumer that
+// needs only a prefix of the result — fn:exists, fn:empty, a positional
+// [1] head, fn:subsequence, a quantified expression — stops pulling and
+// the untouched suffix of the input is never evaluated. Iterators are
+// produced by PlanEvaluator::OpenTable (iterator.cc). Pipeline breakers
+// (GroupBy, OrderBy, a join's build side, a Product's left side) drain
+// their child iterator through PlanEvaluator::EvalTable.
 //
 // Batched execution: NextBatch() moves up to `max` tuples per virtual
 // call through a TupleBatch, amortizing dispatch and guard traffic

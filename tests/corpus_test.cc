@@ -334,28 +334,31 @@ TEST_P(CorpusTest, AllConfigsMatchExpected) {
   std::string query =
       std::string("declare variable $D external; ") + entry.query;
   Engine engine;
+  auto tuple_at_a_time = [](EngineOptions o) {
+    o.batch_size = 1;
+    return o;
+  };
   const EngineOptions kConfigs[] = {
       {false, false, JoinImpl::kNestedLoop},
-      // Streaming (iterator) execution, the default:
+      // The algebra configs at the default (batched) batch size:
       {true, false, JoinImpl::kNestedLoop},
       {true, true, JoinImpl::kNestedLoop},
       {true, true, JoinImpl::kHash},
       {true, true, JoinImpl::kSort},
-      // The same algebra configs under materializing execution; iterator
-      // and materialized modes must agree on every corpus entry.
-      {true, false, JoinImpl::kNestedLoop, ExecMode::kMaterialize},
-      {true, true, JoinImpl::kNestedLoop, ExecMode::kMaterialize},
-      {true, true, JoinImpl::kHash, ExecMode::kMaterialize},
-      {true, true, JoinImpl::kSort, ExecMode::kMaterialize},
-      // Force-sort oracle for the DDO elision machinery, both exec modes:
-      // always sorting TreeJoin output must reproduce every entry exactly.
-      {true, true, JoinImpl::kHash, ExecMode::kStreaming,
-       /*force_sort=*/true},
-      {true, true, JoinImpl::kHash, ExecMode::kMaterialize,
-       /*force_sort=*/true},
+      // The same algebra configs through the tuple-at-a-time oracle; the
+      // batched and oracle pipelines must agree on every corpus entry.
+      tuple_at_a_time({true, false, JoinImpl::kNestedLoop}),
+      tuple_at_a_time({true, true, JoinImpl::kNestedLoop}),
+      tuple_at_a_time({true, true, JoinImpl::kHash}),
+      tuple_at_a_time({true, true, JoinImpl::kSort}),
+      // Force-sort oracle for the DDO elision machinery, batched and
+      // tuple-at-a-time: always sorting TreeJoin output must reproduce
+      // every entry exactly.
+      {true, true, JoinImpl::kHash, /*force_sort=*/true},
+      tuple_at_a_time({true, true, JoinImpl::kHash, /*force_sort=*/true}),
       // And so must running without structural indexes.
-      {true, true, JoinImpl::kHash, ExecMode::kStreaming,
-       /*force_sort=*/false, /*use_doc_index=*/false},
+      {true, true, JoinImpl::kHash, /*force_sort=*/false,
+       /*use_doc_index=*/false},
   };
   for (size_t i = 0; i < std::size(kConfigs); i++) {
     DynamicContext ctx;

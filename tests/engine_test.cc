@@ -3,6 +3,8 @@
 // the baseline interpreter oracle.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "src/engine/engine.h"
 #include "test_util.h"
 
@@ -409,6 +411,21 @@ TEST(EngineApi, ExecStatsBatchSizeInvariant) {
       // subsequence over an unbounded generator.
       "sum(subsequence(for $e in doc(\"d.xml\")/r/e return "
       "xs:integer($e/v), 2, 5))",
+      // The inputs pipeline breakers drain: an OrderBy over a filtered
+      // stream,
+      "for $e in doc(\"d.xml\")/r/e where $e/@k = \"2\" "
+      "order by xs:integer($e/v) descending return string($e/v)",
+      // a GroupBy over an LOuterJoin (the Clio N2 nested-FLWOR shape),
+      "for $k in distinct-values(doc(\"d.xml\")/r/e/@k) "
+      "return <g k=\"{$k}\">{count(for $e in doc(\"d.xml\")/r/e "
+      "where $e/@k = $k return $e/v)}</g>",
+      // a join whose build side is a filtered stream,
+      "count(for $a in doc(\"d.xml\")/r/e, "
+      "$b in doc(\"d.xml\")/r/e[xs:integer(v) < 40] "
+      "where $a/@k = $b/@k return $b)",
+      // and a Product whose left side has more than one tuple.
+      "sum(for $a in (1, 2, 3) for $b in doc(\"d.xml\")/r/e "
+      "return $a * xs:integer($b/v))",
   };
 
   Engine engine;
@@ -420,21 +437,20 @@ TEST(EngineApi, ExecStatsBatchSizeInvariant) {
         engine.Execute("count(doc(\"d.xml\")//v)", &ctx);
     ASSERT_OK(warm);
   }
-  for (ExecMode mode : {ExecMode::kStreaming, ExecMode::kMaterialize}) {
+  for (bool optimize : {true, false}) {
     for (const char* query : kQueries) {
       ExecStats oracle;
       std::string oracle_out;
       for (int batch : {1, 1024}) {
         EngineOptions opts;
-        opts.exec_mode = mode;
+        opts.optimize = optimize;
         opts.batch_size = batch;
         Result<PreparedQuery> q = engine.Prepare(query, opts);
         ASSERT_OK(q);
         Result<std::string> r = q.value().ExecuteToString(&ctx);
         ASSERT_OK(r);
         const std::string what =
-            std::string(mode == ExecMode::kStreaming ? "streaming"
-                                                     : "materialize") +
+            std::string(optimize ? "optimized" : "unoptimized") +
             " batch=" + std::to_string(batch) + "\nquery: " + query;
         if (batch == 1) {
           oracle = q.value().last_exec_stats();
@@ -445,6 +461,15 @@ TEST(EngineApi, ExecStatsBatchSizeInvariant) {
         }
       }
     }
+  }
+  // The last four queries reach the operators they are meant to cover.
+  const char* kShapes[] = {"OrderBy", "GroupBy", "Join", "Product"};
+  for (size_t i = 0; i < std::size(kShapes); i++) {
+    const char* query = kQueries[std::size(kQueries) - std::size(kShapes) + i];
+    Result<PreparedQuery> q = engine.Prepare(query);
+    ASSERT_OK(q);
+    EXPECT_NE(q.value().ExplainPlan().find(kShapes[i]), std::string::npos)
+        << query;
   }
 }
 

@@ -1,8 +1,8 @@
 // Tests for the QueryGuard resource-governance layer (src/base/guard.h):
 // deadlines, cooperative cancellation, memory budgets, output caps, step
 // quotas, and deterministic fault injection — exercised through the public
-// engine API across all three configurations (algebra streaming, algebra
-// materializing, baseline interpreter).
+// engine API across all three configurations (algebra batched, algebra
+// tuple-at-a-time, baseline interpreter).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -26,13 +26,12 @@ struct Config {
 };
 
 std::vector<Config> AllConfigs() {
-  Config streaming{"algebra-streaming", EngineOptions{}};
-  streaming.opts.exec_mode = ExecMode::kStreaming;
-  Config materialize{"algebra-materialize", EngineOptions{}};
-  materialize.opts.exec_mode = ExecMode::kMaterialize;
+  Config batched{"algebra-batched", EngineOptions{}};
+  Config tuple_at_a_time{"algebra-tuple-at-a-time", EngineOptions{}};
+  tuple_at_a_time.opts.batch_size = 1;
   Config interp{"interpreter", EngineOptions{}};
   interp.opts.use_algebra = false;
-  return {streaming, materialize, interp};
+  return {batched, tuple_at_a_time, interp};
 }
 
 // Prepares and executes; errors come back as "ERROR:<code>" (execution) or
@@ -99,7 +98,7 @@ TEST(Guard, MidStreamCancellation) {
   // Pull a few items from a live stream, cancel, and the very next pull
   // must fail with XQC0002 (the stream does an unamortized check per
   // tuple).
-  EngineOptions opts;  // streaming algebra (the default)
+  EngineOptions opts;  // algebra, batched (the default)
   opts.cancel = CancellationToken::Make();
   Engine engine;
   Result<PreparedQuery> q =
@@ -270,6 +269,16 @@ TEST(Guard, BatchedTripParityWithOracle) {
       "count(for $i in 1 to 300 where $i mod 3 = 0 return $i)",
       "count(for $a in 1 to 200, $b in 1 to 200 where $a = $b return $a)",
       "string-join(for $i in 1 to 500 return string($i), \",\")",
+      // Pipeline breakers drain their inputs at the configured batch size:
+      // OrderBy, GroupBy (over an LOuterJoin), a join whose build side is
+      // a filtered stream, and a Product with a multi-tuple left side.
+      "string-join(for $i in 1 to 300 where $i mod 3 = 0 "
+      "order by $i mod 7, $i descending return string($i), \",\")",
+      "for $k in distinct-values(for $i in 1 to 60 return $i mod 5) "
+      "return <g>{count(for $j in 1 to 60 where $j mod 5 = $k return $j)}</g>",
+      "count(for $a in 1 to 200, $b in (1 to 200)[. mod 2 = 0] "
+      "where $a = $b return $a)",
+      "sum(for $a in (1, 2, 3) for $b in 1 to 200 return $a * $b)",
   };
   for (const char* query : kQueries) {
     for (int64_t trip_n : {1, 2, 3, 5, 17, 50, 200}) {

@@ -31,6 +31,7 @@
 #include "src/store/document_store.h"
 #include "src/store/io_fault.h"
 #include "src/xmark/xmark.h"
+#include "src/xml/serializer.h"
 #include "tests/test_util.h"
 
 namespace xqc {
@@ -437,6 +438,37 @@ TEST_F(ParallelTest, SweepMultiDocCorpusAcrossParallelismLevels) {
           << query << " at parallelism " << n;
     }
   }
+}
+
+// ExecuteStream's incremental cursor pulls serially: at parallelism 4 it
+// records the fallback instead of silently ignoring the setting, and its
+// drained output equals Execute's (which does run partitioned).
+TEST_F(ParallelTest, ExecuteStreamRecordsParallelFallback) {
+  MakeCorpus(6, 4);
+  const std::string query = "for $i in fn:collection(\"" + dir_ +
+                            "\")//item return string($i/@id)";
+  EngineOptions par;
+  par.parallelism = 4;
+  Engine engine(par);
+  Result<PreparedQuery> q = engine.Prepare(query);
+  ASSERT_OK(q);
+  DocumentStore store(FastOptions());
+  DynamicContext stream_ctx;
+  stream_ctx.set_document_store(&store);
+  Result<ResultStream> rs = q.value().ExecuteStream(&stream_ctx);
+  ASSERT_OK(rs);
+  Result<Sequence> drained = rs.value().Drain();
+  ASSERT_OK(drained);
+  EXPECT_EQ(rs.value().stats().parallel_fallbacks, 1);
+  EXPECT_EQ(rs.value().stats().parallel_partitions, 0);
+
+  DynamicContext exec_ctx;
+  exec_ctx.set_document_store(&store);
+  Result<Sequence> full = q.value().Execute(&exec_ctx);
+  ASSERT_OK(full);
+  EXPECT_GT(q.value().last_exec_stats().parallel_partitions, 0);
+  EXPECT_EQ(SerializeSequence(drained.value()),
+            SerializeSequence(full.value()));
 }
 
 TEST_F(ParallelTest, RangeSplitsOneLargeDocumentByteIdentically) {

@@ -267,6 +267,10 @@ TEST_P(PropertyTest, AllConfigurationsAgree) {
   uint64_t seed = GetParam();
   Gen gen(seed);
   Engine engine;
+  auto tuple_at_a_time = [](EngineOptions o) {
+    o.batch_size = 1;
+    return o;
+  };
   const EngineOptions kConfigs[] = {
       {false, false, JoinImpl::kNestedLoop},
       {true, false, JoinImpl::kNestedLoop},
@@ -274,14 +278,12 @@ TEST_P(PropertyTest, AllConfigurationsAgree) {
       {true, true, JoinImpl::kHash},
       {true, true, JoinImpl::kSort},
       // Sort-elision oracle: forcing every TreeJoin through the full
-      // DistinctDocOrder sort must not change a byte, in either exec mode;
-      // nor may disabling the structural indexes.
-      {true, true, JoinImpl::kHash, ExecMode::kStreaming,
-       /*force_sort=*/true},
-      {true, true, JoinImpl::kHash, ExecMode::kMaterialize,
-       /*force_sort=*/true},
-      {true, true, JoinImpl::kHash, ExecMode::kMaterialize,
-       /*force_sort=*/false, /*use_doc_index=*/false},
+      // DistinctDocOrder sort must not change a byte, batched or
+      // tuple-at-a-time; nor may disabling the structural indexes.
+      {true, true, JoinImpl::kHash, /*force_sort=*/true},
+      tuple_at_a_time({true, true, JoinImpl::kHash, /*force_sort=*/true}),
+      tuple_at_a_time({true, true, JoinImpl::kHash, /*force_sort=*/false,
+                       /*use_doc_index=*/false}),
   };
   int errored = 0;
   const int kQueriesPerSeed = 8;
@@ -485,10 +487,12 @@ TEST(ConcurrentPropertyTest, SharedPlansAgreeAcrossThreads) {
         </orders>
       </site>)");
   Engine engine;
+  EngineOptions tuple_at_a_time{true, true, JoinImpl::kHash};
+  tuple_at_a_time.batch_size = 1;
   const EngineOptions kConfigs[] = {
-      {true, true, JoinImpl::kHash, ExecMode::kStreaming},
-      {true, true, JoinImpl::kHash, ExecMode::kMaterialize},
-      {true, true, JoinImpl::kNestedLoop, ExecMode::kStreaming},
+      {true, true, JoinImpl::kHash},
+      tuple_at_a_time,
+      {true, true, JoinImpl::kNestedLoop},
   };
   constexpr int kThreads = 4;
   constexpr int kRunsPerThread = 3;

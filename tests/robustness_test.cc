@@ -247,7 +247,7 @@ TEST(Robustness, TruncatedAndMalformedUtf8Documents) {
 }
 
 TEST(Robustness, FuzzCorpusNeverCrashes) {
-  // A mini fuzz corpus swept across both engines and both exec modes under
+  // A mini fuzz corpus swept across both engines and both batch sizes under
   // defensive limits: every entry must produce a value or a coded error,
   // never a crash or a hang.
   const char* kCorpus[] = {
@@ -269,10 +269,10 @@ TEST(Robustness, FuzzCorpusNeverCrashes) {
   Engine engine;
   for (const char* query : kCorpus) {
     for (bool use_algebra : {true, false}) {
-      for (ExecMode mode : {ExecMode::kStreaming, ExecMode::kMaterialize}) {
+      for (int batch : {1024, 1}) {
         EngineOptions opts;
         opts.use_algebra = use_algebra;
-        opts.exec_mode = mode;
+        opts.batch_size = batch;
         opts.limits.deadline_ms = 5000;
         opts.limits.max_memory_bytes = 64 << 20;
         Result<PreparedQuery> q = engine.Prepare(query, opts);

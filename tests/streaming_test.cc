@@ -1,7 +1,9 @@
-// Tests for the pull-based iterator execution mode (src/runtime/iterator.h):
-//  - iterator and materializing modes produce identical results, and
+// Tests for the pull-based iterator pipeline (src/runtime/iterator.h):
+//  - the batched pipeline, its tuple-at-a-time oracle (batch_size=1) and
+//    the Core interpreter produce identical results, and
 //  - early-terminating consumers (fn:exists, [1] heads, fn:subsequence,
-//    quantifiers) touch only a prefix of the input in streaming mode.
+//    quantifiers) touch only a prefix of the input that the same query
+//    without the head consumes in full.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -59,18 +61,27 @@ std::string RunWith(const std::string& query, const EngineOptions& options,
   return r.ok() ? r.value() : "ERROR:" + r.status().code();
 }
 
-EngineOptions Streaming(JoinImpl join = JoinImpl::kHash) {
-  return {/*use_algebra=*/true, /*optimize=*/true, join, ExecMode::kStreaming};
+EngineOptions Batched(JoinImpl join = JoinImpl::kHash, bool optimize = true) {
+  return {/*use_algebra=*/true, optimize, join};
 }
 
-EngineOptions Materialize(JoinImpl join = JoinImpl::kHash) {
-  return {/*use_algebra=*/true, /*optimize=*/true, join,
-          ExecMode::kMaterialize};
+EngineOptions TupleAtATime(JoinImpl join = JoinImpl::kHash,
+                           bool optimize = true) {
+  EngineOptions o = Batched(join, optimize);
+  o.batch_size = 1;
+  return o;
 }
 
-// --- Equivalence: both modes agree on queries spanning every streamed
-// operator (Select, Map, MapConcat, Product, joins, MapIndex) and the
-// pipeline breakers (GroupBy, OrderBy). ---
+EngineOptions Interpreter() {
+  EngineOptions o;
+  o.use_algebra = false;
+  return o;
+}
+
+// --- Equivalence: the batched pipeline, the tuple-at-a-time oracle and
+// the interpreter agree on queries spanning every streamed operator
+// (Select, Map, MapConcat, Product, joins, MapIndex) and the pipeline
+// breakers (GroupBy, OrderBy). ---
 
 const char* kEquivalenceQueries[] = {
     "count(for $x in $D//item return $x)",
@@ -103,83 +114,93 @@ const char* kEquivalenceQueries[] = {
     "then \"yes\" else \"no\"",
 };
 
-TEST(StreamingEquivalence, BothModesAgree) {
+TEST(StreamingEquivalence, BatchedMatchesOracleAndInterpreter) {
   const JoinImpl kJoins[] = {JoinImpl::kNestedLoop, JoinImpl::kHash,
                              JoinImpl::kSort};
   for (const char* query : kEquivalenceQueries) {
+    std::string interpreted =
+        RunWith(query, Interpreter(), nullptr, kSmallItems);
     for (JoinImpl join : kJoins) {
-      std::string materialized =
-          RunWith(query, Materialize(join), nullptr, kSmallItems);
-      std::string streamed =
-          RunWith(query, Streaming(join), nullptr, kSmallItems);
-      EXPECT_EQ(streamed, materialized) << "query: " << query;
+      EXPECT_EQ(RunWith(query, Batched(join), nullptr, kSmallItems),
+                interpreted)
+          << "query: " << query;
+      EXPECT_EQ(RunWith(query, TupleAtATime(join), nullptr, kSmallItems),
+                interpreted)
+          << "query: " << query;
     }
   }
 }
 
 TEST(StreamingEquivalence, CorpusStyleUnoptimized) {
-  EngineOptions s{true, false, JoinImpl::kNestedLoop, ExecMode::kStreaming};
-  EngineOptions m{true, false, JoinImpl::kNestedLoop, ExecMode::kMaterialize};
+  EngineOptions batched = Batched(JoinImpl::kNestedLoop, /*optimize=*/false);
+  EngineOptions oracle =
+      TupleAtATime(JoinImpl::kNestedLoop, /*optimize=*/false);
   for (const char* query : kEquivalenceQueries) {
-    EXPECT_EQ(RunWith(query, s, nullptr, kSmallItems),
-              RunWith(query, m, nullptr, kSmallItems))
+    EXPECT_EQ(RunWith(query, batched, nullptr, kSmallItems),
+              RunWith(query, oracle, nullptr, kSmallItems))
         << "query: " << query;
   }
 }
 
-// --- Early termination: streaming touches <=1% of the tuples the
-// materializing mode produces. ---
+// --- Early termination: a limited head touches <=1% of the tuples the
+// same query without the head (`control`, consumed in full) produces. ---
 
-void CheckEarlyExit(const std::string& query, const char* expected) {
-  int64_t streamed_tuples = 0;
-  int64_t materialized_tuples = 0;
-  std::string streamed = RunWith(query, Streaming(), &streamed_tuples);
-  std::string materialized =
-      RunWith(query, Materialize(), &materialized_tuples);
-  EXPECT_EQ(streamed, expected) << query;
-  EXPECT_EQ(materialized, expected) << query;
-  ASSERT_GE(materialized_tuples, kItems) << query;
-  EXPECT_LE(streamed_tuples * 100, materialized_tuples)
-      << query << "\nstreaming touched " << streamed_tuples << " of "
-      << materialized_tuples << " tuples";
+void CheckEarlyExit(const std::string& query, const std::string& control,
+                    const char* expected) {
+  int64_t head_tuples = 0;
+  int64_t control_tuples = 0;
+  EXPECT_EQ(RunWith(query, Batched(), &head_tuples), expected) << query;
+  EXPECT_EQ(RunWith(query, TupleAtATime()), expected) << query;
+  std::string full = RunWith(control, Batched(), &control_tuples);
+  ASSERT_EQ(full.rfind("ERROR", 0), std::string::npos) << control;
+  ASSERT_GE(control_tuples, kItems) << control;
+  EXPECT_LE(head_tuples * 100, control_tuples)
+      << query << "\nthe head touched " << head_tuples << " of "
+      << control_tuples << " tuples";
 }
 
 TEST(StreamingEarlyExit, Exists) {
-  CheckEarlyExit("exists(for $x in $D//item return $x)", "true");
+  CheckEarlyExit("exists(for $x in $D//item return $x)",
+                 "for $x in $D//item return $x", "true");
 }
 
 TEST(StreamingEarlyExit, ExistsWithEarlyMatch) {
   CheckEarlyExit(
-      "exists(for $x in $D//item where number($x/id) >= 1 return $x)", "true");
+      "exists(for $x in $D//item where number($x/id) >= 1 return $x)",
+      "for $x in $D//item where number($x/id) >= 1 return $x", "true");
 }
 
 TEST(StreamingEarlyExit, FirstItemHead) {
-  CheckEarlyExit("(for $x in $D//item return string($x/id))[1]", "1");
+  CheckEarlyExit("(for $x in $D//item return string($x/id))[1]",
+                 "for $x in $D//item return string($x/id)", "1");
 }
 
 TEST(StreamingEarlyExit, Subsequence) {
   CheckEarlyExit("subsequence(for $x in $D//item return string($x/id), 1, 3)",
-                 "1 2 3");
+                 "for $x in $D//item return string($x/id)", "1 2 3");
 }
 
 TEST(StreamingEarlyExit, SubsequenceFractional) {
   // round(1.5)=2, round(2.6)=3: items 2..4.
   CheckEarlyExit(
       "subsequence(for $x in $D//item return string($x/id), 1.5, 2.6)",
-      "2 3 4");
+      "for $x in $D//item return string($x/id)", "2 3 4");
 }
 
 TEST(StreamingEarlyExit, SomeQuantifier) {
-  CheckEarlyExit("some $x in $D//item satisfies number($x/id) = 2", "true");
+  CheckEarlyExit("some $x in $D//item satisfies number($x/id) = 2",
+                 "for $x in $D//item return number($x/id) = 2", "true");
 }
 
 TEST(StreamingEarlyExit, EveryQuantifierCounterexample) {
-  CheckEarlyExit("every $x in $D//item satisfies number($x/id) > 5", "false");
+  CheckEarlyExit("every $x in $D//item satisfies number($x/id) > 5",
+                 "for $x in $D//item return number($x/id) > 5", "false");
 }
 
 TEST(StreamingEarlyExit, ConditionalTest) {
   CheckEarlyExit(
-      "if (for $x in $D//item return $x) then \"yes\" else \"no\"", "yes");
+      "if (for $x in $D//item return $x) then \"yes\" else \"no\"",
+      "for $x in $D//item return $x", "yes");
 }
 
 TEST(StreamingEarlyExit, BumpsEarlyStopStat) {
@@ -187,23 +208,23 @@ TEST(StreamingEarlyExit, BumpsEarlyStopStat) {
   DynamicContext ctx;
   BindDoc(&ctx);
   Result<PreparedQuery> q = engine.Prepare(
-      Prologue("exists(for $x in $D//item return $x)"), Streaming());
+      Prologue("exists(for $x in $D//item return $x)"), Batched());
   ASSERT_OK(q);
   Result<std::string> r = q.value().ExecuteToString(&ctx);
   ASSERT_OK(r);
   EXPECT_GT(q.value().last_exec_stats().streaming_early_stops, 0);
 }
 
-// Full consumption streams every tuple exactly once: no early stop, and the
-// same tuple count as materializing.
+// Full consumption streams every tuple exactly once, batched or
+// tuple-at-a-time.
 TEST(StreamingEarlyExit, FullScanTouchesEverything) {
-  int64_t streamed_tuples = 0;
-  int64_t materialized_tuples = 0;
+  int64_t batched_tuples = 0;
+  int64_t oracle_tuples = 0;
   const std::string query = "count(for $x in $D//item return $x)";
-  EXPECT_EQ(RunWith(query, Streaming(), &streamed_tuples),
-            RunWith(query, Materialize(), &materialized_tuples));
-  EXPECT_EQ(streamed_tuples, materialized_tuples);
-  EXPECT_GE(streamed_tuples, kItems);
+  EXPECT_EQ(RunWith(query, Batched(), &batched_tuples),
+            RunWith(query, TupleAtATime(), &oracle_tuples));
+  EXPECT_EQ(batched_tuples, oracle_tuples);
+  EXPECT_GE(batched_tuples, kItems);
 }
 
 // --- ResultStream: pulling a few items evaluates only a prefix. ---
@@ -213,7 +234,7 @@ TEST(ResultStream, PartialPullIsLazy) {
   DynamicContext ctx;
   BindDoc(&ctx);
   Result<PreparedQuery> q = engine.Prepare(
-      Prologue("for $x in $D//item return string($x/id)"), Streaming());
+      Prologue("for $x in $D//item return string($x/id)"), Batched());
   ASSERT_OK(q);
   Result<ResultStream> rs = q.value().ExecuteStream(&ctx);
   ASSERT_OK(rs);
@@ -235,7 +256,7 @@ TEST(ResultStream, DrainMatchesExecute) {
   const std::string query =
       Prologue("for $x in $D//item where number($x/id) <= 7 "
                "return string($x/id)");
-  Result<PreparedQuery> q = engine.Prepare(query, Streaming());
+  Result<PreparedQuery> q = engine.Prepare(query, Batched());
   ASSERT_OK(q);
   Result<ResultStream> rs = q.value().ExecuteStream(&ctx);
   ASSERT_OK(rs);
@@ -252,17 +273,17 @@ TEST(ResultStream, DrainMatchesExecute) {
   }
 }
 
-// Materializing mode serves ExecuteStream from a buffer with identical
+// The interpreter serves ExecuteStream from a buffer with identical
 // contents.
-TEST(ResultStream, MaterializedFallbackAgrees) {
+TEST(ResultStream, BufferedFallbackAgrees) {
   Engine engine;
   DynamicContext ctx;
   BindDoc(&ctx);
   const std::string query =
       Prologue("for $x in $D//item where number($x/id) > 1995 "
                "return string($x/id)");
-  Result<PreparedQuery> qs = engine.Prepare(query, Streaming());
-  Result<PreparedQuery> qm = engine.Prepare(query, Materialize());
+  Result<PreparedQuery> qs = engine.Prepare(query, Batched());
+  Result<PreparedQuery> qm = engine.Prepare(query, Interpreter());
   ASSERT_OK(qs);
   ASSERT_OK(qm);
   Result<ResultStream> rss = qs.value().ExecuteStream(&ctx);
