@@ -14,6 +14,18 @@ cd "$(dirname "$0")/.."
 
 JOBS=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
+echo "=== call-binding guard (no function-name literals after normalization) ==="
+# NormalizeQuery binds every call to its builtin row once; the runtime,
+# interpreter, optimizer and compiler read the row's facts or BuiltinId,
+# never the name. builtins.cc holds the rows; projection_infer.cc reads the
+# surface AST before calls are bound. A literal that is exactly a function
+# name or prefix ("fn:count", "op:general-") anywhere else fails the check.
+if grep -rnE '"(fn|op|fs):[A-Za-z0-9-]*"' src/runtime src/interp src/opt \
+    src/compile --exclude=builtins.cc --exclude=projection_infer.cc; then
+  echo "function-name literal outside builtins.cc: test the bound row" >&2
+  exit 1
+fi
+
 if [[ "${1:-}" != "--sanitize-only" ]]; then
   echo "=== regular build + tests (build/) ==="
   cmake -B build -S . >/dev/null

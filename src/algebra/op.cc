@@ -3,6 +3,8 @@
 #include <set>
 #include <sstream>
 
+#include "src/runtime/builtins.h"
+
 namespace xqc {
 
 const char* OpKindName(OpKind k) {
@@ -78,6 +80,7 @@ OpPtr OpVar(Symbol q) {
 OpPtr OpCall(Symbol q, std::vector<OpPtr> args) {
   OpPtr op = MakeOp(OpKind::kCall);
   op->name = q;
+  op->builtin = LookupBuiltin(q, args.size());
   op->inputs = std::move(args);
   return op;
 }

@@ -83,6 +83,7 @@ const char* OpKindName(OpKind k);
 
 struct Op;
 using OpPtr = std::shared_ptr<Op>;
+struct Builtin;  // src/runtime/builtins.h
 
 /// One order-by key of the OrderBy operator (dependent sub-operator).
 struct OrderSpecOp {
@@ -95,6 +96,7 @@ struct OrderSpecOp {
 ///
 /// Field usage by kind:
 ///  - `literal`: kScalar value
+///  - `builtin`: kCall's bound row; null for a user function (name, arity)
 ///  - `name`: Element/Attribute/PI name, Var/Call q, the field q of
 ///    FieldAccess / OMap / OMapConcat / LOuterJoin / MapIndex /
 ///    MapIndexStep, and the qAgg field of GroupBy
@@ -114,6 +116,7 @@ struct Op {
 
   AtomicValue literal;
   Symbol name;
+  const Builtin* builtin = nullptr;
   std::vector<Symbol> fields;
   std::vector<Symbol> fields2;
   SequenceType stype;
@@ -134,6 +137,8 @@ OpPtr OpEmpty();
 OpPtr OpEmptyTuples();
 OpPtr OpScalar(AtomicValue v);
 OpPtr OpVar(Symbol q);
+/// Call[q], bound at construction to the builtin row q names at this
+/// arity; with no such row it calls the user function (q, arity).
 OpPtr OpCall(Symbol q, std::vector<OpPtr> args);
 OpPtr OpFieldAccess(Symbol q, OpPtr input);      // #q(input)
 OpPtr OpInField(Symbol q);                       // IN#q

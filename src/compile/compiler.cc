@@ -3,6 +3,9 @@
 #include <map>
 #include <set>
 
+#include "src/runtime/builtins.h"
+#include "src/xquery/normalize.h"
+
 namespace xqc {
 namespace {
 
@@ -91,7 +94,7 @@ class Compiler {
         return op;
       }
       case ExprKind::kAxisStep: {
-        auto it = scope.find(Symbol("fs:dot"));
+        auto it = scope.find(FsDotVar());
         if (it == scope.end()) {
           return Status::XQueryError("XPDY0002",
                                      "axis step with no context tuple field");
@@ -100,8 +103,7 @@ class Compiler {
       }
       case ExprKind::kFunctionCall: {
         // fn:doc maps to the algebra's Parse I/O operator.
-        if ((e.name == Symbol("fn:doc") || e.name == Symbol("fn:document")) &&
-            e.children.size() == 1) {
+        if (IdOf(e.builtin) == BuiltinId::kDoc) {
           XQC_ASSIGN_OR_RETURN(OpPtr uri, Compile(*e.children[0], scope));
           OpPtr op = MakeOp(OpKind::kParse);
           op->inputs = {std::move(uri)};
@@ -113,7 +115,9 @@ class Compiler {
           XQC_ASSIGN_OR_RETURN(OpPtr p, Compile(*a, scope));
           args.push_back(std::move(p));
         }
-        return OpCall(e.name, std::move(args));
+        OpPtr call = OpCall(e.name, std::move(args));
+        call->builtin = e.builtin;  // a declared function shadows a row
+        return call;
       }
       case ExprKind::kCompElement:
       case ExprKind::kCompAttribute:
@@ -335,7 +339,7 @@ Result<CompiledQuery> CompileQuery(const Query& core) {
     }
     cf.return_type = f.return_type;
     XQC_ASSIGN_OR_RETURN(cf.plan, c.Compile(*f.body, {}));
-    out.functions.emplace(f.name, std::move(cf));
+    out.functions.emplace(FunctionKey{f.name, f.params.size()}, std::move(cf));
   }
   for (const VarDecl& v : core.variables) {
     if (v.expr == nullptr) {

@@ -51,7 +51,7 @@ struct CompiledQuery {
   OpPtr plan;
   /// Prolog variables in declaration order; a null plan means `external`.
   std::vector<std::pair<Symbol, OpPtr>> globals;
-  std::unordered_map<Symbol, CompiledFunction> functions;
+  std::unordered_map<FunctionKey, CompiledFunction> functions;
   /// Intra-query parallelism eligibility (AnalyzeParallel).
   ParallelPlanInfo parallel;
 };

@@ -5,6 +5,7 @@
 #include "src/runtime/builtins.h"
 #include "src/runtime/construct.h"
 #include "src/types/compare.h"
+#include "src/xquery/normalize.h"
 
 namespace xqc {
 
@@ -69,7 +70,7 @@ Interpreter::Interpreter(const Query* query, DynamicContext* ctx)
       ctx_(ctx),
       guard_(ctx->guard() != nullptr ? ctx->guard() : UnlimitedGuard()) {
   for (const FunctionDecl& f : query->functions) {
-    functions_[f.name] = &f;
+    functions_[{f.name, f.params.size()}] = &f;
   }
 }
 
@@ -163,7 +164,7 @@ Result<Sequence> Interpreter::Eval(const Expr& e, const EnvPtr& env) {
     }
     case ExprKind::kAxisStep: {
       Sequence dot;
-      if (!LookupEnv(env, Symbol("fs:dot"), &dot)) {
+      if (!LookupEnv(env, FsDotVar(), &dot)) {
         return Status::XQueryError("XPDY0002", "axis step with no context item");
       }
       TreeJoinOpts tj;
@@ -351,13 +352,10 @@ Result<Sequence> Interpreter::EvalCall(const Expr& e, const EnvPtr& env) {
     XQC_ASSIGN_OR_RETURN(Sequence v, Eval(*a, env));
     args.push_back(std::move(v));
   }
-  auto it = functions_.find(e.name);
+  if (e.builtin != nullptr) return e.builtin->fn(args, ctx_);
+  auto it = functions_.find({e.name, args.size()});
   if (it != functions_.end()) {
     const FunctionDecl& f = *it->second;
-    if (args.size() != f.params.size()) {
-      return Status::XQueryError(
-          "XPST0017", "wrong number of arguments for " + f.name.str());
-    }
     if (++depth_ > kMaxRecursionDepth) {
       depth_--;
       return Status::ResourceExhausted(kGuardRecursionCode,
@@ -384,7 +382,7 @@ Result<Sequence> Interpreter::EvalCall(const Expr& e, const EnvPtr& env) {
     }
     return r;
   }
-  return CallBuiltin(e.name, args, ctx_);
+  return Status::XQueryError("XPST0017", "unbound call of " + e.name.str());
 }
 
 Result<Symbol> Interpreter::EvalName(const Expr& e, const EnvPtr& env) {

@@ -53,7 +53,7 @@ class Interpreter {
   const Query* query_;
   DynamicContext* ctx_;
   QueryGuard* guard_;  // ctx's guard or the shared unlimited fallback
-  std::unordered_map<Symbol, const FunctionDecl*> functions_;
+  std::unordered_map<FunctionKey, const FunctionDecl*> functions_;
   std::unordered_map<Symbol, Sequence> globals_;  // prolog variable values
   int depth_ = 0;
 };

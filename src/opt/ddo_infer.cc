@@ -1,5 +1,7 @@
 #include "src/opt/ddo_infer.h"
 
+#include "src/runtime/builtins.h"
+
 namespace xqc {
 namespace {
 
@@ -152,14 +154,13 @@ class Annotator {
         return p;
       }
       case OpKind::kCall: {
-        if (op->name == Symbol("fn:doc") || op->name == Symbol("fn:root") ||
-            op->name == Symbol("fn:exactly-one") ||
-            op->name == Symbol("fn:zero-or-one")) {
-          DdoProps p = AllTrue();
+        const BuiltinId id = IdOf(op->builtin);
+        if (id == BuiltinId::kDoc || id == BuiltinId::kRoot ||
+            id == BuiltinId::kExactlyOne || id == BuiltinId::kZeroOrOne) {
           // fn:root/fn:exactly-one/fn:zero-or-one select from their input.
-          return p;
+          return AllTrue();
         }
-        if (op->name == Symbol("fn:collection")) {
+        if (id == BuiltinId::kCollection) {
           // Member roots come back in ordinal order, and ResolveCollection
           // guarantees ordinal-increasing interval blocks, so the sequence
           // is already in document order: disjoint same-depth roots, sorted.
@@ -167,7 +168,7 @@ class Annotator {
           p.singleton = false;
           return p;
         }
-        if (op->name == Symbol("fs:distinct-docorder")) {
+        if (id == BuiltinId::kDistinctDocOrder) {
           DdoProps p = in.empty() ? Bottom() : in[0];
           p.ddo = true;  // that is the function's whole contract
           return p;

@@ -1,5 +1,7 @@
 #include "src/opt/key_class.h"
 
+#include "src/runtime/builtins.h"
+
 namespace xqc {
 
 const char* KeyClassName(KeyClass c) {
@@ -11,34 +13,6 @@ const char* KeyClassName(KeyClass c) {
   }
   return "general";
 }
-
-namespace {
-
-bool IsNumericFn(const std::string& n) {
-  static const char* const kFns[] = {
-      "op:plus", "op:minus",  "op:times",   "op:div",     "op:idiv",
-      "op:mod",  "op:unary-minus", "fn:count", "fn:sum",  "fn:avg",
-      "fn:number", "fn:abs", "fn:floor",   "fn:ceiling", "fn:round",
-      "fn:string-length"};
-  for (const char* f : kFns) {
-    if (n == f) return true;
-  }
-  return false;
-}
-
-bool IsStringFn(const std::string& n) {
-  static const char* const kFns[] = {
-      "fn:string",          "fn:concat",         "fn:substring",
-      "fn:substring-before", "fn:substring-after", "fn:upper-case",
-      "fn:lower-case",      "fn:normalize-space", "fn:translate",
-      "fn:string-join",     "fn:name",           "fn:local-name"};
-  for (const char* f : kFns) {
-    if (n == f) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 KeyClass InferJoinKeyClass(const Op& key, bool schema_in_scope) {
   switch (key.kind) {
@@ -76,15 +50,16 @@ KeyClass InferJoinKeyClass(const Op& key, bool schema_in_scope) {
     }
     case OpKind::kMapToItem:
       return InferJoinKeyClass(*key.deps[0], schema_in_scope);
-    case OpKind::kCall: {
-      const std::string& n = key.name.str();
-      if (n == "fs:distinct-docorder" && key.inputs.size() == 1) {
+    case OpKind::kCall:
+      if (IdOf(key.builtin) == BuiltinId::kDistinctDocOrder) {
         return InferJoinKeyClass(*key.inputs[0], schema_in_scope);
       }
-      if (IsNumericFn(n)) return KeyClass::kNumeric;
-      if (IsStringFn(n)) return KeyClass::kString;
-      return KeyClass::kGeneral;
-    }
+      if (key.builtin == nullptr) return KeyClass::kGeneral;
+      if (key.builtin->result == ResultClass::kNumeric) {
+        return KeyClass::kNumeric;
+      }
+      return key.builtin->result == ResultClass::kString ? KeyClass::kString
+                                                         : KeyClass::kGeneral;
     case OpKind::kTypeAssert:
       // The assertion guarantees the type at runtime (or errors).
       if (key.stype.test.kind == ItemTest::Kind::kAtomic) {

@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "src/runtime/builtins.h"
+
 namespace xqc {
 namespace {
 
@@ -85,15 +87,11 @@ class Rewriter {
   // document order. This is what turns compiled paths into the inlined
   // (IN#p)/name/text() navigation chains shown in the paper's plans.
   OpPtr FusePathStep(const OpPtr& op) {
-    if (op->kind == OpKind::kCall &&
-        op->name == Symbol("fs:distinct-docorder") &&
-        op->inputs.size() == 1 &&
-        op->inputs[0]->kind == OpKind::kTreeJoin) {
+    if (IdOf(op->builtin) != BuiltinId::kDistinctDocOrder) return nullptr;
+    if (op->inputs[0]->kind == OpKind::kTreeJoin) {
       return op->inputs[0];  // ddo(TreeJoin(X)) => TreeJoin(X)
     }
-    if (op->kind != OpKind::kCall ||
-        op->name != Symbol("fs:distinct-docorder") || op->inputs.size() != 1 ||
-        op->inputs[0]->kind != OpKind::kMapToItem) {
+    if (op->inputs[0]->kind != OpKind::kMapToItem) {
       return nullptr;
     }
     const OpPtr& map = op->inputs[0];
@@ -178,10 +176,7 @@ class Rewriter {
   OpPtr SplitSelect(const OpPtr& op) {
     if (op->kind != OpKind::kSelect) return nullptr;
     const Op& pred = *op->deps[0];
-    if (pred.kind != OpKind::kCall || pred.name != Symbol("op:and") ||
-        pred.inputs.size() != 2) {
-      return nullptr;
-    }
+    if (IdOf(pred.builtin) != BuiltinId::kAnd) return nullptr;
     Count(&OptimizerStats::split_select);
     return OpSelect(pred.inputs[0],
                     OpSelect(pred.inputs[1], op->inputs[0]));
@@ -204,7 +199,8 @@ class Rewriter {
     if (op->inputs[0]->kind != OpKind::kJoin) return nullptr;
     const OpPtr& join = op->inputs[0];
     Count(&OptimizerStats::insert_join);
-    OpPtr both = OpCall(Symbol("op:and"), {op->deps[0], join->deps[0]});
+    OpPtr both = OpCall(BuiltinRow(BuiltinId::kAnd).name,
+                        {op->deps[0], join->deps[0]});
     return OpJoin(std::move(both), join->inputs[0], join->inputs[1]);
   }
 

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "src/runtime/builtins.h"
+
 namespace xqc {
 namespace {
 
@@ -20,9 +22,7 @@ bool ContainsKind(const Op& op, OpKind k) {
 }
 
 bool IsCollectionCall(const Op& op) {
-  if (op.kind != OpKind::kCall || op.name != Symbol("fn:collection")) {
-    return false;
-  }
+  if (IdOf(op.builtin) != BuiltinId::kCollection) return false;
   // The URI argument is evaluated once by the driver, outside any tuple
   // scope — it must not read IN.
   return !FreeIn(op);

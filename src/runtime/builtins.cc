@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
-#include <map>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/base/strutil.h"
+#include "src/runtime/context.h"
 #include "src/types/compare.h"
 #include "src/xml/serializer.h"
 #include "src/xml/xml_parser.h"
@@ -21,21 +23,10 @@ double XQueryRound(double d) {
 namespace {
 
 using Args = std::vector<Sequence>;
-using Fn = std::function<Result<Sequence>(const Args&, DynamicContext*)>;
-
-struct Builtin {
-  int min_arity;
-  int max_arity;  // -1 = unbounded
-  Fn fn;
-};
+using Fn = decltype(Builtin::fn);
+using RC = ResultClass;
 
 // ---- helpers ---------------------------------------------------------------
-
-Status ArityError(const std::string& name, size_t got) {
-  return Status::XQueryError("XPST0017", "wrong number of arguments (" +
-                                             std::to_string(got) + ") for " +
-                                             name);
-}
 
 Result<Sequence> One(Item it) { return Sequence{std::move(it)}; }
 Sequence None() { return Sequence{}; }
@@ -321,39 +312,44 @@ Result<Sequence> Substring(const Args& args) {
   return One(AtomicValue::String(std::move(out)));
 }
 
-// ---- registry --------------------------------------------------------------
+// ---- the table -------------------------------------------------------------
 
-const std::map<std::string, Builtin>& Registry() {
-  static const std::map<std::string, Builtin>* kReg = [] {
-    auto* m = new std::map<std::string, Builtin>();
-    auto add = [&](const char* name, int lo, int hi, Fn fn) {
-      (*m)[name] = Builtin{lo, hi, std::move(fn)};
+}  // namespace
+
+const std::unordered_map<Symbol, Builtin>& AllBuiltins() {
+  static const auto* kTable = [] {
+    auto* rows = new std::unordered_map<Symbol, Builtin>();
+    auto add = [&](const char* name, int lo, int hi, Fn fn,
+                   RC result = RC::kOther,
+                   BuiltinId id = BuiltinId::kNone) -> Builtin& {
+      Builtin b{Symbol(name), lo, hi, std::move(fn), id, result};
+      return rows->emplace(b.name, std::move(b)).first->second;
     };
 
     // -- boolean --
     add("fn:boolean", 1, 1, [](const Args& a, DynamicContext*) -> Result<Sequence> {
       XQC_ASSIGN_OR_RETURN(bool b, EffectiveBooleanValue(a[0]));
       return BoolSeq(b);
-    });
+    }, RC::kBoolean, BuiltinId::kBoolean).demand = Demand::kTwoItems;
     add("fn:not", 1, 1, [](const Args& a, DynamicContext*) -> Result<Sequence> {
       XQC_ASSIGN_OR_RETURN(bool b, EffectiveBooleanValue(a[0]));
       return BoolSeq(!b);
-    });
-    add("fn:true", 0, 0,
-        [](const Args&, DynamicContext*) { return BoolSeq(true); });
-    add("fn:false", 0, 0,
-        [](const Args&, DynamicContext*) { return BoolSeq(false); });
+    }, RC::kBoolean).demand = Demand::kTwoItems;
+    add("fn:true", 0, 0, [](const Args&, DynamicContext*) { return BoolSeq(true); },
+        RC::kBoolean);
+    add("fn:false", 0, 0, [](const Args&, DynamicContext*) { return BoolSeq(false); },
+        RC::kBoolean);
 
     // -- cardinality --
     add("fn:empty", 1, 1, [](const Args& a, DynamicContext*) {
       return BoolSeq(a[0].empty());
-    });
+    }, RC::kBoolean).demand = Demand::kOneItem;
     add("fn:exists", 1, 1, [](const Args& a, DynamicContext*) {
       return BoolSeq(!a[0].empty());
-    });
+    }, RC::kBoolean).demand = Demand::kOneItem;
     add("fn:count", 1, 1, [](const Args& a, DynamicContext*) {
       return One(AtomicValue::Integer(static_cast<int64_t>(a[0].size())));
-    });
+    }, RC::kNumeric);
     add("fn:zero-or-one", 1, 1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           if (a[0].size() > 1) {
@@ -361,7 +357,7 @@ const std::map<std::string, Builtin>& Registry() {
                                        "fn:zero-or-one on longer sequence");
           }
           return a[0];
-        });
+        }, RC::kOther, BuiltinId::kZeroOrOne);
     add("fn:one-or-more", 1, 1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           if (a[0].empty()) {
@@ -377,15 +373,15 @@ const std::map<std::string, Builtin>& Registry() {
                                        "fn:exactly-one on non-singleton");
           }
           return a[0];
-        });
+        }, RC::kOther, BuiltinId::kExactlyOne);
 
     // -- aggregates --
     add("fn:sum", 1, 1, [](const Args& a, DynamicContext*) {
       return AggregateSum(a[0], /*for_avg=*/false);
-    });
+    }, RC::kNumeric);
     add("fn:avg", 1, 1, [](const Args& a, DynamicContext*) {
       return AggregateSum(a[0], /*for_avg=*/true);
-    });
+    }, RC::kNumeric);
     add("fn:min", 1, 1, [](const Args& a, DynamicContext*) {
       return AggregateMinMax(a[0], /*want_min=*/true);
     });
@@ -403,13 +399,13 @@ const std::map<std::string, Builtin>& Registry() {
         return Status::XQueryError("XPTY0004", "fn:string on multi-item sequence");
       }
       return One(AtomicValue::String(a[0][0].StringValue()));
-    });
+    }, RC::kString);
     add("fn:string-length", 1, 1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(std::string s, StringArg(a[0], "fn:string-length"));
           // Codepoints, not UTF-8 bytes: string-length("déjà vu") is 7.
           return One(AtomicValue::Integer(static_cast<int64_t>(Utf8Length(s))));
-        });
+        }, RC::kNumeric);
     add("fn:concat", 2, -1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           std::string out;
@@ -418,29 +414,29 @@ const std::map<std::string, Builtin>& Registry() {
             out += part;
           }
           return One(AtomicValue::String(std::move(out)));
-        });
+        }, RC::kString);
     add("fn:contains", 2, 2,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(std::string s, StringArg(a[0], "fn:contains"));
           XQC_ASSIGN_OR_RETURN(std::string t, StringArg(a[1], "fn:contains"));
           return BoolSeq(s.find(t) != std::string::npos);
-        });
+        }, RC::kBoolean);
     add("fn:starts-with", 2, 2,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(std::string s, StringArg(a[0], "fn:starts-with"));
           XQC_ASSIGN_OR_RETURN(std::string t, StringArg(a[1], "fn:starts-with"));
           return BoolSeq(s.rfind(t, 0) == 0);
-        });
+        }, RC::kBoolean);
     add("fn:ends-with", 2, 2,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(std::string s, StringArg(a[0], "fn:ends-with"));
           XQC_ASSIGN_OR_RETURN(std::string t, StringArg(a[1], "fn:ends-with"));
           return BoolSeq(s.size() >= t.size() &&
                          s.compare(s.size() - t.size(), t.size(), t) == 0);
-        });
+        }, RC::kBoolean);
     add("fn:substring", 2, 3, [](const Args& a, DynamicContext*) {
       return Substring(a);
-    });
+    }, RC::kString);
     // The 3-arity forms take a collation (F&O 7.4.7/7.4.9); only the
     // codepoint collation is supported, others raise FOCH0002. Byte-wise
     // find is correct for the codepoint collation: UTF-8 is
@@ -453,7 +449,7 @@ const std::map<std::string, Builtin>& Registry() {
           size_t p = s.find(t);
           if (p == std::string::npos) return One(AtomicValue::String(""));
           return One(AtomicValue::String(s.substr(0, p)));
-        });
+        }, RC::kString);
     add("fn:substring-after", 2, 3,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_RETURN_IF_ERROR(CheckCollationArg(a, 2, "substring-after"));
@@ -462,24 +458,24 @@ const std::map<std::string, Builtin>& Registry() {
           size_t p = s.find(t);
           if (p == std::string::npos) return One(AtomicValue::String(""));
           return One(AtomicValue::String(s.substr(p + t.size())));
-        });
+        }, RC::kString);
     add("fn:upper-case", 1, 1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(std::string s, StringArg(a[0], "fn:upper-case"));
           for (char& c : s) c = static_cast<char>(toupper(c));
           return One(AtomicValue::String(std::move(s)));
-        });
+        }, RC::kString);
     add("fn:lower-case", 1, 1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(std::string s, StringArg(a[0], "fn:lower-case"));
           for (char& c : s) c = static_cast<char>(tolower(c));
           return One(AtomicValue::String(std::move(s)));
-        });
+        }, RC::kString);
     add("fn:normalize-space", 1, 1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(std::string s, StringArg(a[0], "normalize-space"));
           return One(AtomicValue::String(NormalizeSpace(s)));
-        });
+        }, RC::kString);
     add("fn:translate", 3, 3,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(std::string s, StringArg(a[0], "fn:translate"));
@@ -495,7 +491,7 @@ const std::map<std::string, Builtin>& Registry() {
             }
           }
           return One(AtomicValue::String(std::move(out)));
-        });
+        }, RC::kString);
     add("fn:string-join", 2, 2,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(Sequence atoms, Atomize(a[0]));
@@ -506,7 +502,7 @@ const std::map<std::string, Builtin>& Registry() {
             out += atoms[i].atomic().Lexical();
           }
           return One(AtomicValue::String(std::move(out)));
-        });
+        }, RC::kString);
 
     // -- numerics --
     add("fn:number", 1, 1,
@@ -516,7 +512,7 @@ const std::map<std::string, Builtin>& Registry() {
           Result<AtomicValue> r = CastTo(atoms[0].atomic(), AtomicType::kDouble);
           if (!r.ok()) return One(AtomicValue::Double(std::nan("")));
           return One(r.take());
-        });
+        }, RC::kNumeric);
     add("fn:abs", 1, 1, [](const Args& a, DynamicContext*) -> Result<Sequence> {
       XQC_ASSIGN_OR_RETURN(Sequence atoms, AtomizeOpt(a[0], "fn:abs"));
       if (atoms.empty()) return None();
@@ -525,19 +521,19 @@ const std::map<std::string, Builtin>& Registry() {
         return One(AtomicValue::Integer(std::llabs(v.AsInt())));
       }
       return One(AtomicValue::Double(std::fabs(v.AsDouble())));
-    });
-    auto rounder = [](double (*f)(double), const char* nm) {
-      return [f, nm](const Args& a, DynamicContext*) -> Result<Sequence> {
+    }, RC::kNumeric);
+    auto rounder = [&](const char* nm, double (*f)(double)) {
+      add(nm, 1, 1, [f, nm](const Args& a, DynamicContext*) -> Result<Sequence> {
         XQC_ASSIGN_OR_RETURN(Sequence atoms, AtomizeOpt(a[0], nm));
         if (atoms.empty()) return None();
         XQC_ASSIGN_OR_RETURN(AtomicValue v, NumericOperand(atoms[0].atomic(), nm));
         if (v.type() == AtomicType::kInteger) return One(v);
         return One(AtomicValue::Double(f(v.AsDouble())));
-      };
+      }, RC::kNumeric);
     };
-    add("fn:floor", 1, 1, rounder(+[](double d) { return std::floor(d); }, "fn:floor"));
-    add("fn:ceiling", 1, 1, rounder(+[](double d) { return std::ceil(d); }, "fn:ceiling"));
-    add("fn:round", 1, 1, rounder(&XQueryRound, "fn:round"));
+    rounder("fn:floor", +[](double d) { return std::floor(d); });
+    rounder("fn:ceiling", +[](double d) { return std::ceil(d); });
+    rounder("fn:round", &XQueryRound);
 
     // -- sequences --
     add("fn:distinct-values", 1, 1,
@@ -582,7 +578,7 @@ const std::map<std::string, Builtin>& Registry() {
             if (pos >= from && pos < to) out.push_back(a[0][i]);
           }
           return out;
-        });
+        }).demand = Demand::kBounds;
     add("fn:insert-before", 3, 3,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(double dpos, DoubleArg(a[1], "fn:insert-before"));
@@ -673,19 +669,19 @@ const std::map<std::string, Builtin>& Registry() {
             }
           }
           return BoolSeq(true);
-        });
+        }, RC::kBoolean);
 
     // -- nodes / documents --
     add("fn:doc", 1, 1, [](const Args& a, DynamicContext* ctx) -> Result<Sequence> {
       XQC_ASSIGN_OR_RETURN(std::string uri, StringArg(a[0], "fn:doc"));
       XQC_ASSIGN_OR_RETURN(NodePtr doc, ctx->ResolveDocument(uri));
       return One(std::move(doc));
-    });
+    }, RC::kOther, BuiltinId::kDoc);
     add("fn:document", 1, 1, [](const Args& a, DynamicContext* ctx) -> Result<Sequence> {
       XQC_ASSIGN_OR_RETURN(std::string uri, StringArg(a[0], "fn:document"));
       XQC_ASSIGN_OR_RETURN(NodePtr doc, ctx->ResolveDocument(uri));
       return One(std::move(doc));
-    });
+    }, RC::kOther, BuiltinId::kDoc);
     add("fn:doc-available", 1, 1,
         [](const Args& a, DynamicContext* ctx) -> Result<Sequence> {
           if (a[0].empty()) return BoolSeq(false);
@@ -693,7 +689,7 @@ const std::map<std::string, Builtin>& Registry() {
                                StringArg(a[0], "fn:doc-available"));
           XQC_ASSIGN_OR_RETURN(bool ok, ctx->DocumentAvailable(uri));
           return BoolSeq(ok);
-        });
+        }, RC::kBoolean);
     add("fn:collection", 0, 1,
         [](const Args& a, DynamicContext* ctx) -> Result<Sequence> {
           if (a.empty() || a[0].empty()) {
@@ -709,7 +705,7 @@ const std::map<std::string, Builtin>& Registry() {
           out.reserve(col->docs.size());
           for (const NodePtr& doc : col->docs) out.push_back(Item(doc));
           return out;
-        });
+        }, RC::kOther, BuiltinId::kCollection);
     add("fn:uri-collection", 0, 1,
         [](const Args& a, DynamicContext* ctx) -> Result<Sequence> {
           if (a.empty() || a[0].empty()) {
@@ -733,14 +729,14 @@ const std::map<std::string, Builtin>& Registry() {
         return Status::XQueryError("XPTY0004", "fn:root of an atomic value");
       }
       return One(a[0][0].node()->Root()->shared_from_this());
-    });
+    }, RC::kOther, BuiltinId::kRoot);
     add("fn:name", 1, 1, [](const Args& a, DynamicContext*) -> Result<Sequence> {
       if (a[0].empty()) return One(AtomicValue::String(""));
       if (!a[0][0].IsNode()) {
         return Status::XQueryError("XPTY0004", "fn:name of an atomic value");
       }
       return One(AtomicValue::String(a[0][0].node()->name.str()));
-    });
+    }, RC::kString);
     add("fn:local-name", 1, 1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           if (a[0].empty()) return One(AtomicValue::String(""));
@@ -751,7 +747,7 @@ const std::map<std::string, Builtin>& Registry() {
           size_t colon = n.rfind(':');
           return One(AtomicValue::String(
               colon == std::string::npos ? n : n.substr(colon + 1)));
-        });
+        }, RC::kString);
     add("fn:error", 0, 2, [](const Args& a, DynamicContext*) -> Result<Sequence> {
       std::string msg = "fn:error invoked";
       if (a.size() >= 2 && !a[1].empty()) msg = a[1][0].StringValue();
@@ -759,12 +755,16 @@ const std::map<std::string, Builtin>& Registry() {
     });
 
     // -- op:* arithmetic --
-    add("op:plus", 2, 2, [](const Args& a, DynamicContext*) { return Arith(NumOp::kAdd, a); });
-    add("op:minus", 2, 2, [](const Args& a, DynamicContext*) { return Arith(NumOp::kSub, a); });
-    add("op:times", 2, 2, [](const Args& a, DynamicContext*) { return Arith(NumOp::kMul, a); });
-    add("op:div", 2, 2, [](const Args& a, DynamicContext*) { return Arith(NumOp::kDiv, a); });
-    add("op:idiv", 2, 2, [](const Args& a, DynamicContext*) { return Arith(NumOp::kIDiv, a); });
-    add("op:mod", 2, 2, [](const Args& a, DynamicContext*) { return Arith(NumOp::kMod, a); });
+    static const std::pair<const char*, NumOp> kArith[] = {
+        {"op:plus", NumOp::kAdd},  {"op:minus", NumOp::kSub},
+        {"op:times", NumOp::kMul}, {"op:div", NumOp::kDiv},
+        {"op:idiv", NumOp::kIDiv}, {"op:mod", NumOp::kMod}};
+    for (const auto& [name, arith] : kArith) {
+      NumOp op = arith;
+      add(name, 2, 2,
+          [op](const Args& a, DynamicContext*) { return Arith(op, a); },
+          RC::kNumeric);
+    }
     add("op:unary-minus", 1, 1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(Sequence atoms, AtomizeOpt(a[0], "unary minus"));
@@ -781,7 +781,7 @@ const std::map<std::string, Builtin>& Registry() {
             return One(AtomicValue::Float(-v.AsDouble()));
           }
           return One(AtomicValue::Double(-v.AsDouble()));
-        });
+        }, RC::kNumeric);
 
     // -- op:* comparisons --
     struct OpComp { const char* name; CompOp op; };
@@ -790,10 +790,16 @@ const std::map<std::string, Builtin>& Registry() {
                                   {"gt", CompOp::kGt}, {"ge", CompOp::kGe}};
     for (const OpComp& oc : kOps) {
       CompOp op = oc.op;
-      add((std::string("op:") + oc.name).c_str(), 2, 2,
-          [op](const Args& a, DynamicContext*) { return ValueComp(op, a); });
-      add((std::string("op:general-") + oc.name).c_str(), 2, 2,
-          [op](const Args& a, DynamicContext*) { return GeneralComp(op, a); });
+      Builtin& v = add((std::string("op:") + oc.name).c_str(), 2, 2,
+          [op](const Args& a, DynamicContext*) { return ValueComp(op, a); },
+          RC::kBoolean);
+      v.comparison = Comparison::kValue;
+      v.comp = op;
+      Builtin& g = add((std::string("op:general-") + oc.name).c_str(), 2, 2,
+          [op](const Args& a, DynamicContext*) { return GeneralComp(op, a); },
+          RC::kBoolean);
+      g.comparison = Comparison::kGeneral;
+      g.comp = op;
     }
 
     // -- op:* logic / ranges / node ops --
@@ -801,12 +807,12 @@ const std::map<std::string, Builtin>& Registry() {
       XQC_ASSIGN_OR_RETURN(bool x, EffectiveBooleanValue(a[0]));
       XQC_ASSIGN_OR_RETURN(bool y, EffectiveBooleanValue(a[1]));
       return BoolSeq(x && y);
-    });
+    }, RC::kBoolean, BuiltinId::kAnd);
     add("op:or", 2, 2, [](const Args& a, DynamicContext*) -> Result<Sequence> {
       XQC_ASSIGN_OR_RETURN(bool x, EffectiveBooleanValue(a[0]));
       XQC_ASSIGN_OR_RETURN(bool y, EffectiveBooleanValue(a[1]));
       return BoolSeq(x || y);
-    });
+    }, RC::kBoolean);
     add("op:to", 2, 2,
         [](const Args& a, DynamicContext* ctx) -> Result<Sequence> {
       XQC_ASSIGN_OR_RETURN(Sequence lo, AtomizeOpt(a[0], "op:to"));
@@ -855,15 +861,21 @@ const std::map<std::string, Builtin>& Registry() {
       return BoolSeq(r);
     };
     add("op:is-same-node", 2, 2,
-        [node_comp](const Args& a, DynamicContext*) { return node_comp(a, 0); });
+        [node_comp](const Args& a, DynamicContext*) { return node_comp(a, 0); },
+        RC::kBoolean);
     add("op:node-before", 2, 2,
-        [node_comp](const Args& a, DynamicContext*) { return node_comp(a, -1); });
+        [node_comp](const Args& a, DynamicContext*) {
+          return node_comp(a, -1);
+        },
+        RC::kBoolean);
     add("op:node-after", 2, 2,
-        [node_comp](const Args& a, DynamicContext*) { return node_comp(a, 1); });
+        [node_comp](const Args& a, DynamicContext*) { return node_comp(a, 1); },
+        RC::kBoolean);
 
     // -- fs:* helpers --
     add("fs:distinct-docorder", 1, 1,
-        [](const Args& a, DynamicContext*) { return DistinctDocOrder(a[0]); });
+        [](const Args& a, DynamicContext*) { return DistinctDocOrder(a[0]); },
+        RC::kOther, BuiltinId::kDistinctDocOrder);
     add("fs:avt-piece", 1, 1,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           // One attribute-value-template piece: atomize and space-join.
@@ -874,7 +886,7 @@ const std::map<std::string, Builtin>& Registry() {
             out += atoms[i].atomic().Lexical();
           }
           return One(AtomicValue::String(std::move(out)));
-        });
+        }, RC::kString);
     add("fs:predicate-truth", 2, 2,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           // Dynamic XPath predicate semantics: a singleton numeric value
@@ -888,7 +900,7 @@ const std::map<std::string, Builtin>& Registry() {
           }
           XQC_ASSIGN_OR_RETURN(bool b, EffectiveBooleanValue(a[0]));
           return BoolSeq(b);
-        });
+        }, RC::kBoolean);
     add("fs:convert-operand", 2, 2,
         [](const Args& a, DynamicContext*) -> Result<Sequence> {
           XQC_ASSIGN_OR_RETURN(Sequence x, AtomizeOpt(a[0], "fs:convert-operand"));
@@ -899,36 +911,25 @@ const std::map<std::string, Builtin>& Registry() {
           return One(std::move(v));
         });
 
-    return m;
+    return rows;
   }();
-  return *kReg;
+  return *kTable;
 }
 
-}  // namespace
-
-bool IsBuiltinFunction(Symbol name) {
-  return Registry().count(name.str()) > 0;
-}
-
-Result<Sequence> CallBuiltin(Symbol name, const std::vector<Sequence>& args,
-                             DynamicContext* ctx) {
-  auto it = Registry().find(name.str());
-  if (it == Registry().end()) {
-    return Status::XQueryError("XPST0017",
-                               "unknown function " + name.str());
-  }
+const Builtin* LookupBuiltin(Symbol name, size_t arity) {
+  auto it = AllBuiltins().find(name);
+  if (it == AllBuiltins().end()) return nullptr;
   const Builtin& b = it->second;
-  int n = static_cast<int>(args.size());
-  if (n < b.min_arity || (b.max_arity >= 0 && n > b.max_arity)) {
-    return ArityError(name.str(), args.size());
-  }
-  return b.fn(args, ctx);
+  int n = static_cast<int>(arity);
+  bool fits = n >= b.min_arity && (b.max_arity < 0 || n <= b.max_arity);
+  return fits ? &b : nullptr;
 }
 
-std::vector<Symbol> AllBuiltinFunctions() {
-  std::vector<Symbol> out;
-  for (const auto& [name, b] : Registry()) out.push_back(Symbol(name));
-  return out;
+const Builtin& BuiltinRow(BuiltinId id) {
+  for (const auto& [name, b] : AllBuiltins()) {
+    if (b.id == id) return b;
+  }
+  std::abort();  // every id names a row
 }
 
 }  // namespace xqc

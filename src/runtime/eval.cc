@@ -36,33 +36,6 @@ Result<int> CompareOrderKeys(const Sequence& a, const Sequence& b,
   return 0;
 }
 
-/// Maps an op:general-* call name to its comparison operator.
-bool GeneralCompName(Symbol name, CompOp* op) {
-  const std::string& s = name.str();
-  if (s.rfind("op:general-", 0) != 0) return false;
-  std::string suffix = s.substr(11);
-  static const std::pair<const char*, CompOp> kOps[] = {
-      {"eq", CompOp::kEq}, {"ne", CompOp::kNe}, {"lt", CompOp::kLt},
-      {"le", CompOp::kLe}, {"gt", CompOp::kGt}, {"ge", CompOp::kGe}};
-  for (const auto& [n, o] : kOps) {
-    if (suffix == n) {
-      *op = o;
-      return true;
-    }
-  }
-  return false;
-}
-
-CompOp MirrorOp(CompOp op) {
-  switch (op) {
-    case CompOp::kLt: return CompOp::kGt;
-    case CompOp::kLe: return CompOp::kGe;
-    case CompOp::kGt: return CompOp::kLt;
-    case CompOp::kGe: return CompOp::kLe;
-    default: return op;  // eq/ne are symmetric
-  }
-}
-
 /// Is `op` a general-comparison call whose two argument plans partition
 /// into left-side / right-side key expressions? (The join recognizer
 /// feeding the Section 6 algorithms.) `lf` / `rf` are the field layouts of
@@ -72,10 +45,11 @@ CompOp MirrorOp(CompOp op) {
 bool IsIndexableComparison(const Op& pred, const std::set<Symbol>& lf,
                            const std::set<Symbol>& rf, const Op** left_key,
                            const Op** right_key, CompOp* comp) {
-  if (pred.kind != OpKind::kCall || pred.inputs.size() != 2 ||
-      !GeneralCompName(pred.name, comp)) {
+  if (pred.builtin == nullptr ||
+      pred.builtin->comparison != Comparison::kGeneral) {
     return false;
   }
+  *comp = pred.builtin->comp;
   auto side_of = [&](const Op& key) -> int {
     std::vector<Symbol> used;
     CollectOuterFieldUses(key, &used);
@@ -99,7 +73,7 @@ bool IsIndexableComparison(const Op& pred, const std::set<Symbol>& lf,
   if ((s0 == 1) && (s1 == -1 || s1 == 0)) {
     *left_key = pred.inputs[1].get();
     *right_key = pred.inputs[0].get();
-    *comp = MirrorOp(*comp);
+    *comp = MirrorCompOp(*comp);
     return true;
   }
   return false;
@@ -513,21 +487,15 @@ Result<Tuple> PlanEvaluator::EvalTuple(const Op& op, const EvalCtx& c) {
 
 namespace {
 
-/// Flattens a conjunction of op:and calls into its conjunct plans.
+/// Flattens a conjunction of op:and calls into its conjunct plans;
+/// fn:boolean wrappers are transparent for predicate purposes.
 void FlattenConjuncts(const Op* pred, std::vector<const Op*>* out) {
-  if (pred->kind == OpKind::kCall && pred->name == Symbol("op:and") &&
-      pred->inputs.size() == 2) {
-    FlattenConjuncts(pred->inputs[0].get(), out);
-    FlattenConjuncts(pred->inputs[1].get(), out);
+  const BuiltinId id = IdOf(pred->builtin);
+  if (id != BuiltinId::kAnd && id != BuiltinId::kBoolean) {
+    out->push_back(pred);
     return;
   }
-  // fn:boolean wrappers are transparent for predicate purposes.
-  if (pred->kind == OpKind::kCall && pred->name == Symbol("fn:boolean") &&
-      pred->inputs.size() == 1) {
-    FlattenConjuncts(pred->inputs[0].get(), out);
-    return;
-  }
-  out->push_back(pred);
+  for (const OpPtr& in : pred->inputs) FlattenConjuncts(in.get(), out);
 }
 
 }  // namespace
@@ -864,50 +832,45 @@ Result<Sequence> PlanEvaluator::EvalCall(const Op& op, const EvalCtx& c) {
     // just this unit's member documents (runtime/parallel.cc).
     return slice_->docs;
   }
-  auto it = query_->functions.find(op.name);
   std::vector<Sequence> args(op.inputs.size());
-  std::vector<bool> have(op.inputs.size(), false);
+  size_t pending = args.size();  // args[pending..] are already evaluated
   // Early-terminating built-ins: their first argument only needs a
   // bounded prefix (argument evaluation order is implementation-defined,
   // so fn:subsequence's bounds evaluate first).
   size_t first_limit = kEvalNoLimit;
-  if (it == query_->functions.end() && !op.inputs.empty()) {
-    const std::string& n = op.name.str();
-    if (n == "fn:exists" || n == "fn:empty") {
-      first_limit = 1;
-    } else if (n == "fn:boolean" || n == "fn:not") {
-      first_limit = 2;  // EBV is decidable from a 2-item prefix
-    } else if (n == "fn:subsequence" && op.inputs.size() == 3) {
-      for (size_t i = 1; i < op.inputs.size(); i++) {
-        XQC_ASSIGN_OR_RETURN(args[i], EvalItems(*op.inputs[i], c));
-        have[i] = true;
-      }
-      double dstart, dlen;
-      if (SingletonNumeric(args[1], &dstart) &&
-          SingletonNumeric(args[2], &dlen)) {
-        // Positions >= round(start)+round(len) are excluded, so only the
-        // prefix before that bound is needed. NaN bounds select nothing.
-        double to = XQueryRound(dstart) + XQueryRound(dlen);
-        if (std::isnan(to) || to < 1) {
-          first_limit = 0;
-        } else if (to <= 1e15) {
-          first_limit = static_cast<size_t>(to) - 1;
-        }
+  const Demand demand =
+      op.builtin != nullptr ? op.builtin->demand : Demand::kAll;
+  if (demand == Demand::kOneItem) {
+    first_limit = 1;
+  } else if (demand == Demand::kTwoItems) {
+    first_limit = 2;
+  } else if (demand == Demand::kBounds && op.inputs.size() == 3) {
+    pending = 1;
+    for (size_t i = 1; i < 3; i++) {
+      XQC_ASSIGN_OR_RETURN(args[i], EvalItems(*op.inputs[i], c));
+    }
+    double dstart, dlen;
+    if (SingletonNumeric(args[1], &dstart) &&
+        SingletonNumeric(args[2], &dlen)) {
+      // Positions >= round(start)+round(len) are excluded, so only the
+      // prefix before that bound is needed. NaN bounds select nothing.
+      double to = XQueryRound(dstart) + XQueryRound(dlen);
+      if (std::isnan(to) || to < 1) {
+        first_limit = 0;
+      } else if (to <= 1e15) {
+        first_limit = static_cast<size_t>(to) - 1;
       }
     }
   }
-  for (size_t i = 0; i < op.inputs.size(); i++) {
-    if (have[i]) continue;
+  for (size_t i = 0; i < pending; i++) {
     XQC_ASSIGN_OR_RETURN(
         args[i], EvalItemsLimited(*op.inputs[i], c,
                                   i == 0 ? first_limit : kEvalNoLimit));
   }
+  if (op.builtin != nullptr) return op.builtin->fn(args, ctx_);
+  auto it = query_->functions.find({op.name, args.size()});
   if (it != query_->functions.end()) {
     const CompiledFunction& f = it->second;
-    if (args.size() != f.params.size()) {
-      return Status::XQueryError(
-          "XPST0017", "wrong number of arguments for " + f.name.str());
-    }
     if (++depth_ > kMaxRecursionDepth) {
       depth_--;
       return Status::ResourceExhausted(kGuardRecursionCode,
@@ -934,7 +897,7 @@ Result<Sequence> PlanEvaluator::EvalCall(const Op& op, const EvalCtx& c) {
     }
     return r;
   }
-  return CallBuiltin(op.name, args, ctx_);
+  return Status::XQueryError("XPST0017", "unbound call of " + op.name.str());
 }
 
 Result<Sequence> PlanEvaluator::EvalConstructor(const Op& op,

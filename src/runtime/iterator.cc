@@ -12,9 +12,10 @@
 // construction).
 #include "src/runtime/iterator.h"
 
-#include <string_view>
+#include <algorithm>
 #include <utility>
 
+#include "src/runtime/builtins.h"
 #include "src/runtime/eval.h"
 
 namespace xqc {
@@ -69,18 +70,14 @@ class TableIter : public TupleIterator {
 
 /// The largest input position that can still satisfy a positional
 /// predicate over `pos_field`, or -1 when the predicate has no such
-/// bound. Recognizes the normalized [N] / [position() <= N] shapes:
-/// op:(general-)?{eq,le,lt}(#pos_field(In), Scalar N) and the mirrored
-/// Scalar-first {eq,ge,gt} forms. A wrong -1 only costs the early stop;
-/// the Select predicate itself still filters every tuple.
+/// bound. Recognizes the normalized [N] / [position() <= N] shapes: a
+/// value or general {eq,le,lt} comparison of #pos_field(In) with a
+/// Scalar N, or the mirrored Scalar-first {eq,ge,gt} forms. A wrong -1
+/// only costs the early stop; the Select predicate itself still filters
+/// every tuple.
 int64_t PositionalBound(const Op& pred, Symbol pos_field) {
-  if (pred.kind != OpKind::kCall || pred.inputs.size() != 2) return -1;
-  std::string_view n(pred.name.str());
-  if (n.rfind("op:general-", 0) == 0) {
-    n.remove_prefix(11);
-  } else if (n.rfind("op:", 0) == 0) {
-    n.remove_prefix(3);
-  } else {
+  if (pred.builtin == nullptr ||
+      pred.builtin->comparison == Comparison::kNone) {
     return -1;
   }
   auto is_pos = [&](const Op& o) {
@@ -95,30 +92,20 @@ int64_t PositionalBound(const Op& pred, Symbol pos_field) {
     *v = o.literal.AsInt();
     return true;
   };
+  CompOp comp = pred.builtin->comp;
   int64_t lit = 0;
   if (is_pos(*pred.inputs[0]) && int_lit(*pred.inputs[1], &lit)) {
     // pos OP lit
   } else if (is_pos(*pred.inputs[1]) && int_lit(*pred.inputs[0], &lit)) {
-    // lit OP pos  =>  pos MIRROR(OP) lit
-    if (n == "ge") {
-      n = "le";
-    } else if (n == "gt") {
-      n = "lt";
-    } else if (n != "eq") {
-      return -1;
-    }
+    comp = MirrorCompOp(comp);  // lit OP pos  =>  pos MIRROR(OP) lit
   } else {
     return -1;
   }
-  int64_t bound;
-  if (n == "eq" || n == "le") {
-    bound = lit;
-  } else if (n == "lt") {
-    bound = lit - 1;
-  } else {
-    return -1;
+  if (comp == CompOp::kEq || comp == CompOp::kLe) {
+    return std::max<int64_t>(lit, 0);
   }
-  return bound < 0 ? 0 : bound;
+  if (comp == CompOp::kLt) return std::max<int64_t>(lit - 1, 0);
+  return -1;
 }
 
 /// Select{pred}: filters the child stream. When the child is a

@@ -35,6 +35,16 @@ const char* CompOpName(CompOp op) {
   return "eq";
 }
 
+CompOp MirrorCompOp(CompOp op) {
+  switch (op) {
+    case CompOp::kLt: return CompOp::kGt;
+    case CompOp::kLe: return CompOp::kGe;
+    case CompOp::kGt: return CompOp::kLt;
+    case CompOp::kGe: return CompOp::kLe;
+    default: return op;  // eq/ne are symmetric
+  }
+}
+
 AtomicType ConvertOperandTarget(AtomicType first, AtomicType second) {
   if (first != AtomicType::kUntypedAtomic) return first;
   if (second == AtomicType::kUntypedAtomic || second == AtomicType::kString) {

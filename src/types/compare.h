@@ -18,6 +18,9 @@ enum class CompOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CompOpName(CompOp op);  // "eq", "ne", ...
 
+/// The operator with its operands swapped: `a OP b` iff `b MIRROR(OP) a`.
+CompOp MirrorCompOp(CompOp op);
+
 /// fs:convert-operand target type per Table 2, as a function of the two
 /// operands' *types* only (the observation that makes an independent
 /// hash-join build possible, Section 6):

@@ -41,14 +41,6 @@ ExprPtr MakeCall(Symbol fn, std::vector<ExprPtr> args) {
   return e;
 }
 
-ExprPtr MakeCall1(const char* fn, ExprPtr a) {
-  return MakeCall(Symbol(fn), {std::move(a)});
-}
-
-ExprPtr MakeCall2(const char* fn, ExprPtr a, ExprPtr b) {
-  return MakeCall(Symbol(fn), {std::move(a), std::move(b)});
-}
-
 namespace {
 
 void Print(const Expr& e, std::ostringstream& os) {

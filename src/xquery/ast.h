@@ -70,6 +70,7 @@ enum class QuantKind : uint8_t { kSome, kEvery };
 
 struct Expr;
 using ExprPtr = std::shared_ptr<Expr>;
+struct Builtin;  // src/runtime/builtins.h
 
 /// One FLWOR clause. Quantified expressions reuse kFor bindings.
 struct Clause {
@@ -105,6 +106,7 @@ struct Expr {
 
   AtomicValue literal;               // kLiteral
   Symbol name;                       // var / function / element / attr / PI
+  const Builtin* builtin = nullptr;  // kFunctionCall row; null = user fn
   ExprPtr name_expr;                 // computed constructor name expression
   ArithOp arith_op = ArithOp::kAdd;  // kArith
   CompOp comp_op = CompOp::kEq;      // kValueComp, kGeneralComp
@@ -123,8 +125,13 @@ ExprPtr MakeExpr(ExprKind kind);
 ExprPtr MakeLiteral(AtomicValue v);
 ExprPtr MakeVarRef(Symbol name);
 ExprPtr MakeCall(Symbol fn, std::vector<ExprPtr> args);
-ExprPtr MakeCall1(const char* fn, ExprPtr a);
-ExprPtr MakeCall2(const char* fn, ExprPtr a, ExprPtr b);
+
+/// A function's identity (XQuery 1.0 §4.15): its name and its arity.
+struct FunctionKey {
+  Symbol name;
+  size_t arity = 0;
+  bool operator==(const FunctionKey&) const = default;
+};
 
 /// A user-defined function declaration from the prolog.
 struct FunctionDecl {
@@ -157,5 +164,12 @@ std::string ExprToString(const Expr& e);
 void CollectFreeVars(const Expr& e, std::set<Symbol>* out);
 
 }  // namespace xqc
+
+template <>
+struct std::hash<xqc::FunctionKey> {
+  size_t operator()(const xqc::FunctionKey& k) const {
+    return std::hash<xqc::Symbol>()(k.name) * 31 + k.arity;
+  }
+};
 
 #endif  // XQC_XQUERY_AST_H_

@@ -2,10 +2,18 @@
 
 #include <unordered_set>
 
+#include "src/runtime/builtins.h"
+
 namespace xqc {
 namespace {
 
 ExprPtr CloneShallow(const Expr& e) { return std::make_shared<Expr>(e); }
+
+/// A call's name in the default function namespace (fn:) when unprefixed.
+Symbol FnName(Symbol name) {
+  const std::string& s = name.str();
+  return s.find(':') == std::string::npos ? Symbol("fn:" + s) : name;
+}
 
 // Does the expression bind `var`, shadowing outer occurrences, in scope
 // `scope_child`? We conservatively treat any binder of the same name as a
@@ -93,7 +101,7 @@ namespace {
 
 class Normalizer {
  public:
-  explicit Normalizer(std::unordered_set<Symbol> declared_functions)
+  explicit Normalizer(std::unordered_set<FunctionKey> declared_functions)
       : declared_(std::move(declared_functions)) {}
 
   Result<ExprPtr> Normalize(const ExprPtr& e) {
@@ -141,17 +149,17 @@ class Normalizer {
         // conjunction visible to the optimizer's predicate splitting.
         XQC_ASSIGN_OR_RETURN(ExprPtr a, Normalize(e->children[0]));
         XQC_ASSIGN_OR_RETURN(ExprPtr b, Normalize(e->children[1]));
-        return MakeCall2(e->kind == ExprKind::kAnd ? "op:and" : "op:or",
-                         MakeCall1("fn:boolean", std::move(a)),
-                         MakeCall1("fn:boolean", std::move(b)));
+        return BuiltinCall(e->kind == ExprKind::kAnd ? "op:and" : "op:or",
+                           {BuiltinCall("fn:boolean", {std::move(a)}),
+                            BuiltinCall("fn:boolean", {std::move(b)})});
       }
       case ExprKind::kIf: {
         XQC_ASSIGN_OR_RETURN(ExprPtr c, Normalize(e->children[0]));
         XQC_ASSIGN_OR_RETURN(ExprPtr t, Normalize(e->children[1]));
         XQC_ASSIGN_OR_RETURN(ExprPtr f, Normalize(e->children[2]));
         ExprPtr out = MakeExpr(ExprKind::kIf);
-        out->children = {MakeCall1("fn:boolean", std::move(c)), std::move(t),
-                         std::move(f)};
+        out->children = {BuiltinCall("fn:boolean", {std::move(c)}),
+                         std::move(t), std::move(f)};
         return out;
       }
       case ExprKind::kFLWOR:
@@ -165,7 +173,7 @@ class Normalizer {
           out->clauses.push_back(std::move(nc));
         }
         XQC_ASSIGN_OR_RETURN(ExprPtr sat, Normalize(e->ret));
-        out->ret = MakeCall1("fn:boolean", std::move(sat));
+        out->ret = BuiltinCall("fn:boolean", {std::move(sat)});
         return out;
       }
       case ExprKind::kTypeswitch:
@@ -192,9 +200,7 @@ class Normalizer {
           bool all_boolean = true;
           for (const ExprPtr& pred : rhs_raw->children) {
             if (MentionsCall(*pred, Symbol("fn:position")) ||
-                MentionsCall(*pred, Symbol("position")) ||
-                MentionsCall(*pred, Symbol("fn:last")) ||
-                MentionsCall(*pred, Symbol("last"))) {
+                MentionsCall(*pred, Symbol("fn:last"))) {
               all_boolean = false;
               break;
             }
@@ -239,18 +245,17 @@ class Normalizer {
         c.expr = std::move(base);
         flwor->clauses.push_back(std::move(c));
         flwor->ret = std::move(rest);
-        return MakeCall1("fs:distinct-docorder", std::move(flwor));
+        return BuiltinCall("fs:distinct-docorder", {std::move(flwor)});
       }
       case ExprKind::kAxisStep:
         return NormalizeStep(*e);
       case ExprKind::kFilter: {
         XQC_ASSIGN_OR_RETURN(ExprPtr base, Normalize(e->children[0]));
-        return NormalizePredicate(std::move(base), e->children[1],
-                                  /*doc_order_result=*/false);
+        return NormalizePredicate(std::move(base), e->children[1]);
       }
       case ExprKind::kFunctionCall: {
         // xs:TYPE(v) constructor functions are casts.
-        if (e->children.size() == 1 && declared_.count(e->name) == 0) {
+        if (e->children.size() == 1 && declared_.count({e->name, 1}) == 0) {
           const std::string& n = e->name.str();
           AtomicType at;
           if ((n.rfind("xs:", 0) == 0 || n.rfind("xdt:", 0) == 0) &&
@@ -263,35 +268,21 @@ class Normalizer {
           }
         }
         // Zero-arity context-item builtins take $fs:dot implicitly.
-        if (e->children.empty() && declared_.count(e->name) == 0) {
+        if (e->children.empty() && declared_.count({e->name, 0}) == 0) {
           static const char* const kContextFns[] = {
-              "string", "fn:string", "number",     "fn:number",
-              "data",   "fn:data",   "name",       "fn:name",
-              "local-name", "fn:local-name"};
+              "fn:string", "fn:number", "fn:data", "fn:name", "fn:local-name"};
           for (const char* f : kContextFns) {
-            if (e->name.str() == f) {
-              ExprPtr with_dot = MakeExpr(ExprKind::kFunctionCall);
-              with_dot->name = e->name;
-              with_dot->children = {MakeVarRef(FsDotVar())};
-              return Normalize(with_dot);
+            if (FnName(e->name) == Symbol(f)) {
+              return Normalize(MakeCall(e->name, {MakeVarRef(FsDotVar())}));
             }
           }
         }
-        Symbol name = ResolveFunction(e->name);
-        ExprPtr out = MakeExpr(ExprKind::kFunctionCall);
-        out->name = name;
+        ExprPtr out = MakeCall(e->name, {});
         for (const ExprPtr& a : e->children) {
           XQC_ASSIGN_OR_RETURN(ExprPtr n, Normalize(a));
           out->children.push_back(std::move(n));
         }
-        // fn:position() / fn:last() must have been replaced by predicate
-        // normalization; a survivor means they were used outside a
-        // predicate, which we do not support.
-        if (name == Symbol("fn:position") || name == Symbol("fn:last")) {
-          return Status::XQueryError(
-              "XPDY0002",
-              "fn:position()/fn:last() outside a predicate is not supported");
-        }
+        XQC_RETURN_IF_ERROR(Bind(out.get()));
         return out;
       }
       case ExprKind::kCompElement:
@@ -329,14 +320,36 @@ class Normalizer {
       XQC_ASSIGN_OR_RETURN(ExprPtr n, Normalize(a));
       nargs.push_back(std::move(n));
     }
-    return MakeCall(Symbol(fn), std::move(nargs));
+    return BuiltinCall(fn, std::move(nargs));
   }
 
-  Symbol ResolveFunction(Symbol name) const {
-    if (declared_.count(name) > 0) return name;
-    const std::string& s = name.str();
-    if (s.find(':') == std::string::npos) return Symbol("fn:" + s);
-    return name;
+  /// A call the normalizer introduces: bound straight to its builtin row.
+  static ExprPtr BuiltinCall(const std::string& fn, std::vector<ExprPtr> args) {
+    ExprPtr e = MakeCall(Symbol(fn), std::move(args));
+    e->builtin = LookupBuiltin(e->name, e->children.size());
+    return e;
+  }
+
+  /// Binds a call, once: to the declared function (name, arity), else to
+  /// the builtin row of its fn:-resolved name. Anything else is the static
+  /// error XPST0017 (XQuery 1.0 §3.1.5), wherever the call sits.
+  Status Bind(Expr* call) const {
+    const size_t n = call->children.size();
+    if (declared_.count({call->name, n}) > 0) return Status::OK();
+    call->name = FnName(call->name);
+    // fn:position() / fn:last() must have been replaced by predicate
+    // normalization; a survivor means they were used outside a
+    // predicate, which we do not support.
+    if (call->name == Symbol("fn:position") ||
+        call->name == Symbol("fn:last")) {
+      return Status::XQueryError(
+          "XPDY0002",
+          "fn:position()/fn:last() outside a predicate is not supported");
+    }
+    call->builtin = LookupBuiltin(call->name, n);
+    if (call->builtin != nullptr) return Status::OK();
+    return Status::XQueryError("XPST0017", "no function " + call->name.str() +
+                                               "#" + std::to_string(n));
   }
 
   Result<ExprPtr> NormalizeFLWOR(const Expr& e) {
@@ -355,7 +368,7 @@ class Normalizer {
         // optimizer's (insert join) recognizer.
         if (c.kind == Clause::Kind::kWhere &&
             ClassifyPredicate(*nc.expr) != PredClass::kBoolean) {
-          nc.expr = MakeCall1("fn:boolean", std::move(nc.expr));
+          nc.expr = BuiltinCall("fn:boolean", {std::move(nc.expr)});
         }
       }
       for (const Clause::OrderSpec& spec : c.specs) {
@@ -401,15 +414,13 @@ class Normalizer {
     step->node_test = e.node_test;
     ExprPtr cur = std::move(step);
     for (const ExprPtr& pred : e.children) {
-      XQC_ASSIGN_OR_RETURN(
-          cur, NormalizePredicate(std::move(cur), pred,
-                                  /*doc_order_result=*/true));
+      XQC_ASSIGN_OR_RETURN(cur, NormalizePredicate(std::move(cur), pred));
     }
     return cur;
   }
 
   static bool MentionsCall(const Expr& e, Symbol fn) {
-    if (e.kind == ExprKind::kFunctionCall && e.name == fn) return true;
+    if (e.kind == ExprKind::kFunctionCall && FnName(e.name) == fn) return true;
     for (const ExprPtr& c : e.children) {
       if (c != nullptr && MentionsCall(*c, fn)) return true;
     }
@@ -428,7 +439,7 @@ class Normalizer {
 
   static ExprPtr ReplaceCall0(const ExprPtr& e, Symbol fn, Symbol var) {
     if (e == nullptr) return nullptr;
-    if (e->kind == ExprKind::kFunctionCall && e->name == fn &&
+    if (e->kind == ExprKind::kFunctionCall && FnName(e->name) == fn &&
         e->children.empty()) {
       return MakeVarRef(var);
     }
@@ -463,30 +474,13 @@ class Normalizer {
       case ExprKind::kInstanceOf:
       case ExprKind::kCastableAs:
         return PredClass::kBoolean;
-      case ExprKind::kFunctionCall: {
-        const std::string& n = e.name.str();
-        static const char* const kBooleanFns[] = {
-            "fn:boolean", "fn:not",        "fn:true",        "fn:false",
-            "fn:empty",   "fn:exists",     "fn:contains",    "fn:starts-with",
-            "fn:ends-with", "fn:deep-equal", "op:and",       "op:or",
-            "op:is-same-node", "op:node-before", "op:node-after"};
-        for (const char* b : kBooleanFns) {
-          if (n == b) return PredClass::kBoolean;
+      case ExprKind::kFunctionCall:
+        if (e.builtin == nullptr) return PredClass::kDynamic;
+        if (e.builtin->result == ResultClass::kBoolean) {
+          return PredClass::kBoolean;
         }
-        if (n.rfind("op:general-", 0) == 0) return PredClass::kBoolean;
-        static const char* const kValueComps[] = {"op:eq", "op:ne", "op:lt",
-                                                  "op:le", "op:gt", "op:ge"};
-        for (const char* b : kValueComps) {
-          if (n == b) return PredClass::kBoolean;
-        }
-        static const char* const kNumericFns[] = {
-            "op:plus", "op:minus", "op:times",       "op:div",
-            "op:idiv", "op:mod",   "op:unary-minus", "fn:count"};
-        for (const char* b : kNumericFns) {
-          if (n == b) return PredClass::kNumeric;
-        }
-        return PredClass::kDynamic;
-      }
+        return e.builtin->result == ResultClass::kNumeric ? PredClass::kNumeric
+                                                          : PredClass::kDynamic;
       default:
         return PredClass::kDynamic;
     }
@@ -497,24 +491,15 @@ class Normalizer {
   /// Positional predicates (numeric literals) become $fs:position = N; all
   /// other predicates take their effective boolean value. fn:position() and
   /// fn:last() inside the predicate are resolved here. If the result can
-  /// contain duplicate/unordered nodes it is the caller's concern
-  /// (`doc_order_result` documents intent; step results are already ordered).
-  Result<ExprPtr> NormalizePredicate(ExprPtr base, const ExprPtr& raw_pred,
-                                     bool doc_order_result) {
-    (void)doc_order_result;
+  /// contain duplicate/unordered nodes it is the caller's concern.
+  Result<ExprPtr> NormalizePredicate(ExprPtr base, const ExprPtr& raw_pred) {
     Symbol dot = FsDotVar();
     Symbol pos = FsPositionVar();
 
-    bool uses_last =
-        MentionsCall(*raw_pred, Symbol("fn:last")) ||
-        MentionsCall(*raw_pred, Symbol("last"));
+    bool uses_last = MentionsCall(*raw_pred, Symbol("fn:last"));
     ExprPtr pred = ReplaceCall0(raw_pred, Symbol("fn:position"), pos);
-    pred = ReplaceCall0(pred, Symbol("position"), pos);
     Symbol last_var("fs:last");
-    if (uses_last) {
-      pred = ReplaceCall0(pred, Symbol("fn:last"), last_var);
-      pred = ReplaceCall0(pred, Symbol("last"), last_var);
-    }
+    if (uses_last) pred = ReplaceCall0(pred, Symbol("fn:last"), last_var);
     XQC_ASSIGN_OR_RETURN(ExprPtr npred, Normalize(pred));
 
     ExprPtr flwor = MakeExpr(ExprKind::kFLWOR);
@@ -530,7 +515,7 @@ class Normalizer {
       Clause let_last;
       let_last.kind = Clause::Kind::kLet;
       let_last.var = last_var;
-      let_last.expr = MakeCall1("fn:count", MakeVarRef(seq_var));
+      let_last.expr = BuiltinCall("fn:count", {MakeVarRef(seq_var)});
       flwor->clauses.push_back(std::move(let_last));
       base = MakeVarRef(seq_var);
     }
@@ -546,7 +531,7 @@ class Normalizer {
     switch (ClassifyPredicate(*npred)) {
       case PredClass::kNumeric:
         // Positional predicate: where $fs:position = N (paper, Section 4).
-        w.expr = MakeCall2("op:general-eq", MakeVarRef(pos), npred);
+        w.expr = BuiltinCall("op:general-eq", {MakeVarRef(pos), npred});
         break;
       case PredClass::kBoolean:
         w.expr = npred;  // already boolean-valued; keep join predicates bare
@@ -554,7 +539,7 @@ class Normalizer {
       case PredClass::kDynamic:
         // Statically unknown: defer to the runtime rule (numeric value =>
         // position test, otherwise EBV).
-        w.expr = MakeCall2("fs:predicate-truth", npred, MakeVarRef(pos));
+        w.expr = BuiltinCall("fs:predicate-truth", {npred, MakeVarRef(pos)});
         break;
     }
     flwor->clauses.push_back(std::move(w));
@@ -562,7 +547,7 @@ class Normalizer {
     return flwor;
   }
 
-  std::unordered_set<Symbol> declared_;
+  std::unordered_set<FunctionKey> declared_;
   int ts_counter_ = 0;
 };
 
@@ -727,9 +712,15 @@ void HoistNestedReturnBlocks(Query* q) {
 }
 
 Result<Query> NormalizeQuery(const Query& q) {
-  std::unordered_set<Symbol> declared;
-  for (const FunctionDecl& f : q.functions) declared.insert(f.name);
-  Normalizer n(declared);
+  std::unordered_set<FunctionKey> declared;
+  for (const FunctionDecl& f : q.functions) {
+    if (!declared.insert({f.name, f.params.size()}).second) {
+      return Status::XQueryError(
+          "XQST0034", "function " + f.name.str() + "#" +
+                          std::to_string(f.params.size()) + " declared twice");
+    }
+  }
+  Normalizer n(std::move(declared));
   Query out;
   for (const FunctionDecl& f : q.functions) {
     FunctionDecl nf = f;

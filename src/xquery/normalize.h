@@ -34,8 +34,10 @@ Symbol FsPositionVar();
 Result<ExprPtr> NormalizeExpr(const ExprPtr& e);
 
 /// Normalizes a whole query module (body, function bodies, variable
-/// initializers). Unprefixed function calls that do not match a declared
-/// function are resolved into the fn: namespace.
+/// initializers) and binds every call, once: to the declared function of
+/// its (name, arity), else to a builtin row (Expr::builtin); an unprefixed
+/// name that is not declared resolves into the fn: namespace. An unbound
+/// call anywhere is XPST0017; a duplicate (name, arity) is XQST0034.
 Result<Query> NormalizeQuery(const Query& q);
 
 /// Substitutes free occurrences of variable `from` by `to`, respecting

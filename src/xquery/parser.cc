@@ -636,7 +636,7 @@ class Parser {
   ExprPtr RootExpr() {
     // fn:root(self::node()) applied to the context item.
     ExprPtr self = MakeExpr(ExprKind::kContextItem);
-    return MakeCall1("fn:root", std::move(self));
+    return MakeCall(Symbol("fn:root"), {std::move(self)});
   }
 
   ExprPtr DescendantOrSelfStep() {
@@ -1100,7 +1100,8 @@ class Parser {
           if (piece->kind == ExprKind::kLiteral) {
             pieces.push_back(std::move(piece));
           } else {
-            pieces.push_back(MakeCall1("fs:avt-piece", std::move(piece)));
+            pieces.push_back(
+                MakeCall(Symbol("fs:avt-piece"), {std::move(piece)}));
           }
         }
         attr->children.clear();

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "src/runtime/builtins.h"
+#include "src/runtime/context.h"
 #include "src/xml/serializer.h"
 #include "test_util.h"
 
@@ -15,30 +16,52 @@ namespace {
 using testutil::InterpToString;
 
 TEST(BuiltinRegistry, LookupAndEnumeration) {
-  EXPECT_TRUE(IsBuiltinFunction(Symbol("fn:count")));
-  EXPECT_TRUE(IsBuiltinFunction(Symbol("op:general-eq")));
-  EXPECT_TRUE(IsBuiltinFunction(Symbol("fs:distinct-docorder")));
-  EXPECT_FALSE(IsBuiltinFunction(Symbol("fn:no-such-thing")));
+  EXPECT_NE(LookupBuiltin(Symbol("fn:count"), 1), nullptr);
+  EXPECT_NE(LookupBuiltin(Symbol("op:general-eq"), 2), nullptr);
+  EXPECT_NE(LookupBuiltin(Symbol("fs:distinct-docorder"), 1), nullptr);
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:no-such-thing"), 1), nullptr);
   // Completeness floor: the library is substantial.
-  EXPECT_GE(AllBuiltinFunctions().size(), 60u);
+  EXPECT_GE(AllBuiltins().size(), 60u);
+  // Every id a pass tests for names a row.
+  EXPECT_EQ(BuiltinRow(BuiltinId::kAnd).name, Symbol("op:and"));
+  EXPECT_EQ(BuiltinRow(BuiltinId::kCollection).name, Symbol("fn:collection"));
 }
 
-TEST(BuiltinRegistry, ArityEnforced) {
-  DynamicContext ctx;
-  Result<Sequence> r = CallBuiltin(Symbol("fn:count"), {}, &ctx);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), "XPST0017");
-  r = CallBuiltin(Symbol("fn:count"), {{}, {}}, &ctx);
-  EXPECT_FALSE(r.ok());
+TEST(BuiltinRegistry, ArityIsPartOfTheBinding) {
+  // A row binds only inside its arity range.
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:count"), 0), nullptr);
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:count"), 2), nullptr);
   // fn:concat is variadic (>= 2).
-  r = CallBuiltin(Symbol("fn:concat"),
-                  {{AtomicValue::String("a")},
-                   {AtomicValue::String("b")},
-                   {AtomicValue::String("c")},
-                   {AtomicValue::String("d")}},
-                  &ctx);
+  const Builtin* concat = LookupBuiltin(Symbol("fn:concat"), 4);
+  ASSERT_NE(concat, nullptr);
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:concat"), 1), nullptr);
+  DynamicContext ctx;
+  Result<Sequence> r = concat->fn({{AtomicValue::String("a")},
+                                   {AtomicValue::String("b")},
+                                   {AtomicValue::String("c")},
+                                   {AtomicValue::String("d")}},
+                                  &ctx);
   ASSERT_OK(r);
   EXPECT_EQ(r.value()[0].atomic().AsString(), "abcd");
+  // A call no row or declaration binds is a static error.
+  EXPECT_EQ(InterpToString("count()"), "ERROR:XPST0017");
+  EXPECT_EQ(InterpToString("count(1, 2)"), "ERROR:XPST0017");
+}
+
+TEST(BuiltinRegistry, RowFacts) {
+  const Builtin* ge = LookupBuiltin(Symbol("op:general-ge"), 2);
+  ASSERT_NE(ge, nullptr);
+  EXPECT_EQ(ge->comparison, Comparison::kGeneral);
+  EXPECT_EQ(ge->comp, CompOp::kGe);
+  EXPECT_EQ(LookupBuiltin(Symbol("op:lt"), 2)->comparison, Comparison::kValue);
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:exists"), 1)->demand, Demand::kOneItem);
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:not"), 1)->demand, Demand::kTwoItems);
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:subsequence"), 3)->demand,
+            Demand::kBounds);
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:count"), 1)->demand, Demand::kAll);
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:round"), 1)->result,
+            ResultClass::kNumeric);
+  EXPECT_EQ(LookupBuiltin(Symbol("fn:data"), 1)->result, ResultClass::kOther);
 }
 
 TEST(BuiltinNumerics, ArithmeticTypeRules) {

@@ -229,7 +229,7 @@ TEST(CompileQuery, FunctionsCompileToPlansOverVarLeaves) {
   Result<CompiledQuery> compiled = CompileQuery(core.value());
   ASSERT_OK(compiled);
   const CompiledFunction& f =
-      compiled.value().functions.at(Symbol("local:f"));
+      compiled.value().functions.at(FunctionKey{Symbol("local:f"), 2});
   EXPECT_EQ(OpToString(*f.plan), "op:plus(Var[a],Var[b])");
   EXPECT_EQ(OpToString(*compiled.value().plan), "local:f(1,2)");
 }

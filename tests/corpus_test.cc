@@ -1,7 +1,8 @@
 // Regression corpus: a table-driven sweep of small query/expected pairs in
 // the spirit of the Galax regression suite the paper reports (Section 7).
 // Every entry runs under all five engine configurations; expected strings
-// prefixed with "ERROR:" assert the W3C error code instead.
+// prefixed with "ERROR:" assert the W3C error code instead, whether it is
+// raised by Prepare (static errors) or by execution (dynamic errors).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -14,6 +15,16 @@ namespace xqc {
 namespace {
 
 using testutil::MustParseXml;
+
+/// Prepares and runs `query`, folding a Prepare or execution error into
+/// "ERROR:<code>".
+std::string PrepareAndRun(const Engine& engine, const std::string& query,
+                          const EngineOptions& opts, DynamicContext* ctx) {
+  Result<PreparedQuery> q = engine.Prepare(query, opts);
+  if (!q.ok()) return "ERROR:" + q.status().code();
+  Result<std::string> r = q.value().ExecuteToString(ctx);
+  return r.ok() ? r.value() : "ERROR:" + r.status().code();
+}
 
 struct CorpusEntry {
   const char* query;
@@ -325,6 +336,22 @@ const CorpusEntry kCorpus[] = {
     {"sum(($D//s)[1])", "ERROR:FORG0001"},  // non-numeric untyped "beta"
     {"\"x\" castable as xs:date", "true"},  // lexical model accepts
     {"(1,2)[\"s\" + 1]", "ERROR:XPTY0004"},  // erroneous predicate
+    // -- calls are bound statically, by (name, arity) --
+    {"if (1 = 2) then fn:no-such(1) else 42", "ERROR:XPST0017"},
+    {"if (1 = 2) then count(1, 2) else 42", "ERROR:XPST0017"},
+    {"declare function local:unused() { fn:no-such() }; 42",
+     "ERROR:XPST0017"},
+    {"declare function local:f($a) { 1 }; "
+     "declare function local:f($a, $b) { 2 }; "
+     "(local:f(0), local:f(0, 0))", "1 2"},
+    {"declare function local:f($a) { 1 }; local:f(0, 0)", "ERROR:XPST0017"},
+    {"declare function local:f($a) { 1 }; "
+     "declare function local:f($a) { 2 }; local:f(0)", "ERROR:XQST0034"},
+    // -- predicates over numeric-class calls keep their positional meaning --
+    {"(10, 20, 30)[fn:round(1.2)]", "10"},
+    {"(10, 20, 30)[fn:string-length(\"ab\")]", "20"},
+    {"(10, 20, 30)[fn:avg(())]", ""},
+    {"(10, 20, 30)[fn:number(\"x\")]", ""},
 };
 
 class CorpusTest : public ::testing::TestWithParam<size_t> {};
@@ -364,12 +391,7 @@ TEST_P(CorpusTest, AllConfigsMatchExpected) {
     DynamicContext ctx;
     NodePtr doc = MustParseXml(kCorpusDoc);
     ctx.BindVariable(Symbol("D"), {Item(doc)});
-    Result<PreparedQuery> q = engine.Prepare(query, kConfigs[i]);
-    ASSERT_TRUE(q.ok()) << q.status().ToString() << "\n" << entry.query;
-    Result<std::string> r = q.value().ExecuteToString(&ctx);
-    std::string got =
-        r.ok() ? r.value() : "ERROR:" + r.status().code();
-    EXPECT_EQ(got, entry.expected)
+    EXPECT_EQ(PrepareAndRun(engine, query, kConfigs[i], &ctx), entry.expected)
         << "config " << i << "\nquery: " << entry.query;
   }
   // Batch-size sweep over the default streaming config: batch_size=1 is
@@ -382,11 +404,7 @@ TEST_P(CorpusTest, AllConfigsMatchExpected) {
     DynamicContext ctx;
     NodePtr doc = MustParseXml(kCorpusDoc);
     ctx.BindVariable(Symbol("D"), {Item(doc)});
-    Result<PreparedQuery> q = engine.Prepare(query, opts);
-    ASSERT_TRUE(q.ok()) << q.status().ToString() << "\n" << entry.query;
-    Result<std::string> r = q.value().ExecuteToString(&ctx);
-    std::string got = r.ok() ? r.value() : "ERROR:" + r.status().code();
-    EXPECT_EQ(got, entry.expected)
+    EXPECT_EQ(PrepareAndRun(engine, query, opts, &ctx), entry.expected)
         << "batch_size=" << batch << "\nquery: " << entry.query;
   }
 }
@@ -420,10 +438,7 @@ TEST_P(CorpusTest, DocStoreOnAndOffAgree) {
   const EngineOptions* configs[2] = {&store_on, &store_off};
   for (int i = 0; i < 2; i++) {
     DynamicContext ctx;
-    Result<PreparedQuery> q = engine.Prepare(query, *configs[i]);
-    ASSERT_TRUE(q.ok()) << q.status().ToString() << "\n" << query;
-    Result<std::string> r = q.value().ExecuteToString(&ctx);
-    results[i] = r.ok() ? r.value() : "ERROR:" + r.status().code();
+    results[i] = PrepareAndRun(engine, query, *configs[i], &ctx);
   }
   EXPECT_EQ(results[0], results[1])
       << "store-on and store-off disagree\nquery: " << query;

@@ -57,7 +57,7 @@ TEST(EvalContextTest, FunctionParametersShadowGlobals) {
   f.params = {Symbol("v")};
   f.param_types = {std::nullopt};
   f.plan = OpVar(Symbol("v"));  // must see the parameter, not the global
-  q.functions.emplace(f.name, f);
+  q.functions.emplace(FunctionKey{f.name, f.params.size()}, f);
   q.plan = OpCall(Symbol("local:f"), {OpScalar(AtomicValue::Integer(42))});
   DynamicContext ctx;
   PlanEvaluator eval(&q, &ctx, {});
@@ -75,7 +75,7 @@ TEST(EvalContextTest, FunctionArityAndTypeChecks) {
       SequenceType::One(ItemTest::Atomic(AtomicType::kInteger))};
   f.return_type = SequenceType::One(ItemTest::Atomic(AtomicType::kString));
   f.plan = OpVar(Symbol("p"));  // returns an integer: violates return type
-  q.functions.emplace(f.name, f);
+  q.functions.emplace(FunctionKey{f.name, f.params.size()}, f);
   DynamicContext ctx;
   // Wrong arity.
   q.plan = OpCall(Symbol("local:g"), {});

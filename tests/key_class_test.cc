@@ -21,13 +21,56 @@ TEST(KeyClassTest, ScalarsAndCalls) {
             KeyClass::kString);
   EXPECT_EQ(InferJoinKeyClass(*OpScalar(AtomicValue::Untyped("u")), false),
             KeyClass::kUntyped);
-  EXPECT_EQ(InferJoinKeyClass(*OpCall(Symbol("fn:count"), {OpIn()}), false),
-            KeyClass::kNumeric);
-  EXPECT_EQ(InferJoinKeyClass(
-                *OpCall(Symbol("fn:concat"), {OpIn(), OpIn()}), false),
-            KeyClass::kString);
   EXPECT_EQ(InferJoinKeyClass(*OpInField(Symbol("x")), false),
             KeyClass::kGeneral);
+}
+
+// The result-class column of the builtin table, as the key-class analysis
+// reads it: one row per call, at an arity the row accepts.
+TEST(KeyClassTest, CallsFollowTheResultClassColumn) {
+  struct Case {
+    const char* name;
+    size_t arity;
+    KeyClass expected;
+  };
+  const Case kCases[] = {
+      {"op:plus", 2, KeyClass::kNumeric},
+      {"op:minus", 2, KeyClass::kNumeric},
+      {"op:times", 2, KeyClass::kNumeric},
+      {"op:div", 2, KeyClass::kNumeric},
+      {"op:idiv", 2, KeyClass::kNumeric},
+      {"op:mod", 2, KeyClass::kNumeric},
+      {"op:unary-minus", 1, KeyClass::kNumeric},
+      {"fn:count", 1, KeyClass::kNumeric},
+      {"fn:sum", 1, KeyClass::kNumeric},
+      {"fn:avg", 1, KeyClass::kNumeric},
+      {"fn:number", 1, KeyClass::kNumeric},
+      {"fn:abs", 1, KeyClass::kNumeric},
+      {"fn:floor", 1, KeyClass::kNumeric},
+      {"fn:ceiling", 1, KeyClass::kNumeric},
+      {"fn:round", 1, KeyClass::kNumeric},
+      {"fn:string-length", 1, KeyClass::kNumeric},
+      {"fn:string", 1, KeyClass::kString},
+      {"fn:concat", 2, KeyClass::kString},
+      {"fn:substring", 2, KeyClass::kString},
+      {"fn:substring-before", 2, KeyClass::kString},
+      {"fn:substring-after", 2, KeyClass::kString},
+      {"fn:upper-case", 1, KeyClass::kString},
+      {"fn:lower-case", 1, KeyClass::kString},
+      {"fn:normalize-space", 1, KeyClass::kString},
+      {"fn:translate", 3, KeyClass::kString},
+      {"fn:string-join", 2, KeyClass::kString},
+      {"fn:name", 1, KeyClass::kString},
+      {"fn:local-name", 1, KeyClass::kString},
+      {"fn:data", 1, KeyClass::kGeneral},
+  };
+  for (const Case& c : kCases) {
+    std::vector<OpPtr> args;
+    for (size_t i = 0; i < c.arity; i++) args.push_back(OpIn());
+    OpPtr call = OpCall(Symbol(c.name), std::move(args));
+    ASSERT_NE(call->builtin, nullptr) << c.name;
+    EXPECT_EQ(InferJoinKeyClass(*call, false), c.expected) << c.name;
+  }
 }
 
 TEST(KeyClassTest, NavigationIsUntypedOnlyWithoutSchema) {

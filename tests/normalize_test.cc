@@ -5,6 +5,7 @@
 // unification, and the hoisting passes.
 #include <gtest/gtest.h>
 
+#include "src/runtime/builtins.h"
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
 #include "test_util.h"
@@ -187,6 +188,70 @@ TEST(SubstituteVarTest, ClauseBoundaryShadowing) {
   ASSERT_OK(e);
   ExprPtr s = SubstituteVar(e.value(), Symbol("x"), Symbol("y"));
   EXPECT_EQ(ExprToString(*s), "for $a in $y for $x in 1 return ($a, $x)");
+}
+
+// ---- call binding ------------------------------------------------------------
+
+/// Counts the calls in `e` bound to a builtin row and those left to a
+/// declared function (builtin == nullptr).
+void CountCalls(const Expr& e, int* bound, int* user) {
+  if (e.kind == ExprKind::kFunctionCall) {
+    ++*(e.builtin != nullptr ? bound : user);
+  }
+  auto rec = [&](const ExprPtr& c) {
+    if (c != nullptr) CountCalls(*c, bound, user);
+  };
+  for (const ExprPtr& c : e.children) rec(c);
+  rec(e.ret);
+  rec(e.name_expr);
+  for (const Clause& c : e.clauses) {
+    rec(c.expr);
+    for (const Clause::OrderSpec& spec : c.specs) rec(spec.key);
+  }
+  for (const TypeswitchCase& c : e.cases) rec(c.body);
+}
+
+TEST(NormalizeBinding, EveryCallIsBoundOnce) {
+  // Every operator the normalizer lowers, every call it introduces
+  // (fn:boolean, fs:distinct-docorder, the three predicate shapes,
+  // fn:count for last()), context-item and parser-made calls.
+  Result<Query> q = ParseXQuery(
+      "declare function local:f($x) { $x + 1 }; "
+      "for $a at $i in (1 to 3) where $a = 2 and not($a eq 3) "
+      "return (<e b=\"{$a} x\">{$a/string()}</e>, $a[1], $a[. > 0], "
+      "$a[$i], $a[last()], some $z in $a satisfies $z, //e[@b], "
+      "if ($a) then -$a else local:f($a), $a is $a, $a union $a)");
+  ASSERT_OK(q);
+  Result<Query> core = NormalizeQuery(q.value());
+  ASSERT_OK(core);
+  int bound = 0, user = 0;
+  CountCalls(*core.value().body, &bound, &user);
+  EXPECT_EQ(user, 1);  // local:f
+  EXPECT_GT(bound, 20);
+  const Expr& body = *core.value().body;
+  ASSERT_EQ(body.clauses.back().expr->kind, ExprKind::kFunctionCall);
+  EXPECT_EQ(IdOf(body.clauses.back().expr->builtin), BuiltinId::kAnd);
+}
+
+TEST(NormalizeBinding, UnboundCallsAreStaticErrors) {
+  auto code = [](const char* text) -> std::string {
+    Result<Query> q = ParseXQuery(text);
+    if (!q.ok()) return "parse error";
+    Result<Query> core = NormalizeQuery(q.value());
+    return core.ok() ? "ok" : core.status().code();
+  };
+  EXPECT_EQ(code("if (1 = 2) then fn:no-such(1) else 42"), "XPST0017");
+  EXPECT_EQ(code("declare function local:f() { substring() }; 1"),
+            "XPST0017");
+  EXPECT_EQ(code("declare function local:f($a) { 1 }; local:f()"),
+            "XPST0017");
+  EXPECT_EQ(code("declare function local:f($a) { 1 }; "
+                 "declare function local:f($b) { 2 }; 1"),
+            "XQST0034");
+  EXPECT_EQ(code("declare function local:f($a) { 1 }; "
+                 "declare function local:f() { 2 }; local:f()"),
+            "ok");
+  EXPECT_EQ(code("position()"), "XPDY0002");
 }
 
 // ---- hoisting passes -----------------------------------------------------------

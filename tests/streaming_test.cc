@@ -187,6 +187,17 @@ TEST(StreamingEarlyExit, SubsequenceFractional) {
       "for $x in $D//item return string($x/id)", "2 3 4");
 }
 
+TEST(StreamingEarlyExit, PositionalBoundForms) {
+  // Every comparison shape PositionalBound recognizes: value and general
+  // comparisons, position() on either side, strict and non-strict.
+  for (const char* pred : {"[position() <= 3]", "[3 >= position()]",
+                           "[4 > position()]", "[position() lt 4]"}) {
+    CheckEarlyExit(
+        std::string("(for $x in $D//item return string($x/id))") + pred,
+        "for $x in $D//item return string($x/id)", "1 2 3");
+  }
+}
+
 TEST(StreamingEarlyExit, SomeQuantifier) {
   CheckEarlyExit("some $x in $D//item satisfies number($x/id) = 2",
                  "for $x in $D//item return number($x/id) = 2", "true");
